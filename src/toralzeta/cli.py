@@ -10,26 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
-from .linalg import IntMatrix, det_exact
+from .linalg import IntMatrix
 from .polynomials import IntPoly, RatFunc, squarefree_decomposition
 from . import oracle, zeta
 
 
 class MatrixParseError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    matrix_source: str
-    max_m: int = 10
-    format: str = "plain"
-    tolerance: float = zeta.DEFAULT_TOLERANCE
-    unreduced: bool = False
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -69,6 +60,7 @@ def parse_matrix(text: str) -> IntMatrix:
         return int(text[start:pos])
 
     def parse_row(index):
+        nonlocal pos
         expect("[")
         skip_ws()
         if pos < n and text[pos] == "]":
@@ -77,16 +69,12 @@ def parse_matrix(text: str) -> IntMatrix:
         while True:
             skip_ws()
             if pos < n and text[pos] == ",":
-                pos_advance()
+                pos += 1
                 entries.append(parse_int())
             else:
                 break
         expect("]")
         return entries
-
-    def pos_advance():
-        nonlocal pos
-        pos += 1
 
     expect("[")
     skip_ws()
@@ -96,7 +84,7 @@ def parse_matrix(text: str) -> IntMatrix:
     while True:
         skip_ws()
         if pos < n and text[pos] == ",":
-            pos_advance()
+            pos += 1
             rows.append(parse_row(len(rows) + 1))
         else:
             break
@@ -181,13 +169,8 @@ def _display_factored(p: IntPoly, power, exponent) -> str:
 def _display_pair(f: RatFunc) -> tuple[IntPoly, IntPoly]:
     # flip both signs when the denominator leads with a negative low-order
     # coefficient; purely cosmetic, the value is unchanged
-    num, den = f.num, f.den
-    for c in den.coeffs:
-        if c:
-            if c < 0:
-                num, den = -num, -den
-            break
-    return num, den
+    den, flipped = _lowest_sign_positive(f.den)
+    return (-f.num if flipped else f.num), den
 
 
 def format_ratfunc_plain(f: RatFunc) -> str:
@@ -218,34 +201,23 @@ def _ratfunc_json(f: RatFunc) -> dict:
     return {"num": _poly_json(f.num), "den": _poly_json(f.den)}
 
 
+def _classification_json(cls: zeta.ClassificationReport) -> dict:
+    return {**asdict(cls), "root_of_unity_orders": list(cls.root_of_unity_orders)}
+
+
 def report_to_dict(report: zeta.ZetaReport) -> dict:
     """JSON-ready view of a report; unbounded integers become decimal strings."""
-    cls = report.classification
-    growth = report.growth_rate
     return {
         "matrix": [[str(x) for x in row] for row in report.matrix.rows],
         "lefschetz_zeta": _ratfunc_json(report.lefschetz_zeta),
         "artin_mazur_zeta": _ratfunc_json(report.artin_mazur_zeta),
-        "signs": {
-            "sigma": report.signs.sigma,
-            "tau": report.signs.tau,
-            "delta": report.signs.delta,
-            "epsilon": report.signs.epsilon,
-        },
+        "signs": asdict(report.signs),
         "counts": [str(x) for x in report.counts],
         "signed_counts": [str(x) for x in report.signed_counts],
         "exponents": [str(x) for x in report.exponents],
-        "classification": {
-            "singular": cls.singular,
-            "root_of_unity_orders": list(cls.root_of_unity_orders),
-            "quasihyperbolic": cls.quasihyperbolic,
-            "hyperbolic": cls.hyperbolic,
-            "hyperbolic_flag": cls.hyperbolic_flag,
-        },
+        "classification": _classification_json(report.classification),
         "functional_equation": report.functional_equation_holds,
-        "growth_rate": None
-        if growth is None
-        else {"value": growth.value, "error": growth.error},
+        "growth_rate": None if report.growth_rate is None else asdict(report.growth_rate),
     }
 
 
@@ -295,24 +267,11 @@ def main(argv=None) -> int:
     if args.max_m < 1:
         print("error: --max-m must be at least 1", file=sys.stderr)
         return 1
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
+    if not 0 < args.tolerance < math.inf:
+        print("error: --tolerance must be finite and positive", file=sys.stderr)
         return 1
-    config = CliConfig(
-        command=args.command,
-        matrix_source=source,
-        max_m=args.max_m,
-        format=args.format,
-        tolerance=args.tolerance,
-        unreduced=args.unreduced,
-    )
-    return run(config)
-
-
-def run(config: CliConfig) -> int:
-    """Execute one parsed invocation; returns the exit code."""
     try:
-        mat = parse_matrix(config.matrix_source)
+        mat = parse_matrix(source)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -324,11 +283,12 @@ def run(config: CliConfig) -> int:
         "classify": _cmd_classify,
         "check": _cmd_check,
         "report": _cmd_report,
-    }[config.command]
-    return handler(mat, config)
+    }[args.command]
+    # each handler reads the parsed flags: max_m, format, tolerance, unreduced
+    return handler(mat, args)
 
 
-def _print_ratfunc(f: RatFunc, config: CliConfig, json_key: str) -> None:
+def _print_ratfunc(f: RatFunc, config: argparse.Namespace, json_key: str) -> None:
     if config.format == "json":
         print(json.dumps({json_key: _ratfunc_json(f)}, indent=2))
     elif config.format == "latex":
@@ -337,7 +297,9 @@ def _print_ratfunc(f: RatFunc, config: CliConfig, json_key: str) -> None:
         print(format_ratfunc_plain(f))
 
 
-def _print_factor_table(factors, exponents, config: CliConfig) -> None:
+def _print_factor_table(factors, epsilon: int, config: argparse.Namespace) -> None:
+    # factor k enters the zeta function to the power epsilon * (-1)^(k+1)
+    exponents = [epsilon * (1 if k % 2 else -1) for k in range(len(factors))]
     if config.format == "json":
         data = [
             {"k": k, "exponent": e, "factor": _poly_json(p)}
@@ -351,91 +313,58 @@ def _print_factor_table(factors, exponents, config: CliConfig) -> None:
 
 
 def _cmd_zeta(mat, config) -> int:
-    sign_data = zeta.signs(mat)
+    p = zeta.characteristic_polynomial(mat)
+    factors = zeta._factors(p)
+    sign_data = zeta._signs(p)
     if config.unreduced:
-        factors = [
-            p.substitute_signed(sign_data.delta) for p in zeta.char_factors(mat)
-        ]
-        exps = [
-            sign_data.epsilon * (1 if k % 2 else -1) for k in range(len(factors))
-        ]
-        _print_factor_table(factors, exps, config)
-        return 0
-    _print_ratfunc(zeta.artin_mazur_zeta(mat), config, "artin_mazur_zeta")
+        signed = [f.substitute_signed(sign_data.delta) for f in factors]
+        _print_factor_table(signed, sign_data.epsilon, config)
+    else:
+        artin_mazur = zeta._compose_signs(zeta._lefschetz(factors), sign_data)
+        _print_ratfunc(artin_mazur, config, "artin_mazur_zeta")
     return 0
 
 
 def _cmd_lefschetz(mat, config) -> int:
     if config.unreduced:
-        factors = list(zeta.char_factors(mat))
-        exps = [1 if k % 2 else -1 for k in range(len(factors))]
-        _print_factor_table(factors, exps, config)
-        return 0
-    _print_ratfunc(zeta.lefschetz_zeta(mat), config, "lefschetz_zeta")
+        _print_factor_table(zeta.char_factors(mat), 1, config)
+    else:
+        _print_ratfunc(zeta.lefschetz_zeta(mat), config, "lefschetz_zeta")
     return 0
 
 
-def _cmd_counts(mat, config) -> int:
-    rows = [
-        (m, zeta.signed_count(mat, m), zeta.isolated_fixed_count(mat, m))
-        for m in range(1, config.max_m + 1)
-    ]
+def _print_iterate_table(columns: dict, plain_header: str, latex_header: str, config) -> None:
+    """One row per iterate m; JSON maps each column name to decimal strings."""
     if config.format == "json":
-        print(
-            json.dumps(
-                {
-                    "signed_counts": [str(sc) for _, sc, _ in rows],
-                    "counts": [str(c) for _, _, c in rows],
-                },
-                indent=2,
-            )
-        )
-    elif config.format == "latex":
-        print("\\begin{tabular}{rrr}")
-        print("m & signed & count \\\\")
-        for m, sc, c in rows:
-            print(f"{m} & {sc} & {c} \\\\")
+        print(json.dumps({k: [str(x) for x in v] for k, v in columns.items()}, indent=2))
+        return
+    rows = list(zip(range(1, config.max_m + 1), *columns.values()))
+    if config.format == "latex":
+        print(f"\\begin{{tabular}}{{{'r' * (len(columns) + 1)}}}")
+        print(latex_header + " \\\\")
+        for row in rows:
+            print(" & ".join(map(str, row)) + " \\\\")
         print("\\end{tabular}")
     else:
-        print("m signed_count count")
-        for m, sc, c in rows:
-            print(f"{m} {sc} {c}")
+        print(plain_header)
+        for row in rows:
+            print(" ".join(map(str, row)))
+
+
+def _cmd_counts(mat, config) -> int:
+    signed = zeta._signed_counts(zeta.char_factors(mat), config.max_m)
+    columns = {"signed_counts": signed, "counts": [abs(x) for x in signed]}
+    _print_iterate_table(columns, "m signed_count count", "m & signed & count", config)
     return 0
 
 
 def _cmd_exponents(mat, config) -> int:
     exps = zeta.euler_exponents(mat, config.max_m)
-    if config.format == "json":
-        print(json.dumps({"exponents": [str(c) for c in exps]}, indent=2))
-    elif config.format == "latex":
-        print("\\begin{tabular}{rr}")
-        print("m & exponent \\\\")
-        for m, c in enumerate(exps, start=1):
-            print(f"{m} & {c} \\\\")
-        print("\\end{tabular}")
-    else:
-        print("m exponent")
-        for m, c in enumerate(exps, start=1):
-            print(f"{m} {c}")
+    _print_iterate_table({"exponents": exps}, "m exponent", "m & exponent", config)
     return 0
 
 
-def _cmd_classify(mat, config) -> int:
-    cls = zeta.classify(mat, config.tolerance)
-    if config.format == "json":
-        print(
-            json.dumps(
-                {
-                    "singular": cls.singular,
-                    "root_of_unity_orders": list(cls.root_of_unity_orders),
-                    "quasihyperbolic": cls.quasihyperbolic,
-                    "hyperbolic": cls.hyperbolic,
-                    "hyperbolic_flag": cls.hyperbolic_flag,
-                },
-                indent=2,
-            )
-        )
-        return 0
+def _print_classification(cls: zeta.ClassificationReport) -> None:
     orders = ", ".join(str(n) for n in cls.root_of_unity_orders) or "none"
     if cls.hyperbolic is None:
         hyperbolic = "indeterminate"
@@ -445,22 +374,34 @@ def _cmd_classify(mat, config) -> int:
     print(f"root of unity orders: {orders}")
     print(f"quasihyperbolic: {'yes' if cls.quasihyperbolic else 'no'}")
     print(f"hyperbolic: {hyperbolic}")
+
+
+def _cmd_classify(mat, config) -> int:
+    cls = zeta.classify(mat, config.tolerance)
+    if config.format == "json":
+        print(json.dumps(_classification_json(cls), indent=2))
+    else:
+        _print_classification(cls)
     return 0
 
 
 def _run_checks(mat, config) -> list[tuple[str, str]]:
     results = []
     max_m = config.max_m
-    artin_mazur = zeta.artin_mazur_zeta(mat)
-    lefschetz = zeta.lefschetz_zeta(mat)
+    p = zeta.characteristic_polynomial(mat)
+    factors = zeta._factors(p)
+    lefschetz = zeta._lefschetz(factors)
+    sign_data = zeta._signs(p)
+    artin_mazur = zeta._compose_signs(lefschetz, sign_data)
+    zeta_series = artin_mazur.series(max_m)
 
-    if det_exact(mat) == 0:
+    if p.constant_coefficient == 0:
         results.append(("functional equation", "skipped (det = 0)"))
     else:
-        holds = zeta.functional_equation_check(mat).holds
+        holds = zeta._functional_equation(p, lefschetz, sign_data).holds
         results.append(("functional equation", "pass" if holds else "fail"))
 
-    counts = [zeta.isolated_fixed_count(mat, m) for m in range(1, max_m + 1)]
+    counts = [abs(x) for x in zeta._signed_counts(factors, max_m)]
     ok = all(
         oracle.snf_fixed_count(mat, m) == counts[m - 1] for m in range(1, max_m + 1)
     )
@@ -473,30 +414,26 @@ def _run_checks(mat, config) -> list[tuple[str, str]]:
         except ValueError:
             continue  # beyond the enumeration limit
         seen = True
-        if fps.finite:
-            ok = ok and fps.count == counts[m - 1]
-        else:
-            ok = ok and counts[m - 1] == 0
+        ok = ok and (fps.count if fps.finite else 0) == counts[m - 1]
     status = "pass" if ok else "fail"
     if not seen:
         status = "skipped (all iterates beyond the enumeration limit)"
     results.append(("fixed-point enumeration", status))
 
-    ok = oracle.exp_sum_zeta_series(mat, max_m) == artin_mazur.series(max_m)
+    ok = oracle.exp_sum_zeta_series(mat, max_m) == zeta_series
     results.append(("zeta series (exp sum oracle)", "pass" if ok else "fail"))
 
-    sign_data = zeta.signs(mat)
     ok = oracle.sturm_sign_oracle(mat) == (sign_data.delta, sign_data.epsilon)
     results.append(("signs (sturm oracle)", "pass" if ok else "fail"))
 
     lef_series = lefschetz.log_derivative().series(max_m)
     ok = all(
-        lef_series[m] == zeta.signed_count(mat, m) for m in range(1, max_m + 1)
+        lef_series[m] == oracle.det_signed_count(mat, m) for m in range(1, max_m + 1)
     )
     results.append(("lefschetz series", "pass" if ok else "fail"))
 
-    exps = zeta.euler_exponents(mat, max_m)
-    ok = oracle.euler_product_series(exps, max_m) == artin_mazur.series(max_m)
+    exps = zeta._exponents(counts)
+    ok = oracle.euler_product_series(exps, max_m) == zeta_series
     results.append(("euler product", "pass" if ok else "fail"))
     return results
 
@@ -523,21 +460,10 @@ def _cmd_report(mat, config) -> int:
     s = report.signs
     print(f"signs: sigma={s.sigma} tau={s.tau} delta={s.delta:+d} epsilon={s.epsilon:+d}")
     print("m signed_count count exponent")
-    for m in range(1, config.max_m + 1):
-        print(
-            f"{m} {report.signed_counts[m - 1]} {report.counts[m - 1]}"
-            f" {report.exponents[m - 1]}"
-        )
-    cls = report.classification
-    orders = ", ".join(str(n) for n in cls.root_of_unity_orders) or "none"
-    if cls.hyperbolic is None:
-        hyperbolic = "indeterminate"
-    else:
-        hyperbolic = f"{'yes' if cls.hyperbolic else 'no'} ({cls.hyperbolic_flag})"
-    print(f"singular: {'yes' if cls.singular else 'no'}")
-    print(f"root of unity orders: {orders}")
-    print(f"quasihyperbolic: {'yes' if cls.quasihyperbolic else 'no'}")
-    print(f"hyperbolic: {hyperbolic}")
+    rows = zip(range(1, config.max_m + 1), report.signed_counts, report.counts, report.exponents)
+    for row in rows:
+        print(" ".join(map(str, row)))
+    _print_classification(report.classification)
     if report.functional_equation_holds is None:
         print("functional equation: skipped (det = 0)")
     else:

@@ -4,28 +4,30 @@ An integer d-by-d matrix M induces an endomorphism of the torus R^d/Z^d.
 The number of isolated fixed points of the m-th iterate is
 |det(1 - M^m)|, and the signed count det(1 - M^m) is the Lefschetz number.
 Both exponential generating series sum to rational functions with integer
-coefficients.  The Lefschetz function comes out of an alternating product
-of exterior-power determinants; the unsigned one follows from it after a
-sign substitution governed by the real eigenvalues beyond -1 and 1.
+coefficients.  Everything served depends on M only through its
+characteristic polynomial p, which is computed once.  The Lefschetz
+function is the alternating product of the factors det(1 - z Lambda^k M),
+each recovered from the power sums of the eigenvalues of M with Newton's
+identities; the unsigned one follows from it after a sign substitution
+governed by the real eigenvalues beyond -1 and 1.
 All of this is computed exactly; floating point enters only in the
 root-modulus estimates behind growth rate and hyperbolicity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
 
-from .linalg import IntMatrix, det_exact, exterior_power, mat_pow
+from .linalg import IntMatrix
 from .polynomials import (
     IntPoly,
     RatFunc,
     cyclotomic_polynomial,
     deflate_at,
-    det_poly_linear,
     divexact,
-    multiplicity_at,
     poly_gcd,
     squarefree_decomposition,
 )
@@ -88,8 +90,65 @@ class ZetaReport:
 
 
 def characteristic_polynomial(mat: IntMatrix) -> IntPoly:
-    """det(x*1 - M), monic of degree dim."""
-    return det_poly_linear(-mat, IntMatrix.identity(mat.dim))
+    """det(x*1 - M), monic of degree dim.
+
+    Faddeev-LeVerrier recurrence: with A_1 = M and A_{k+1} = M (A_k + c_k),
+    the coefficient of x^(dim-k) is c_k = -tr(A_k) / k, an exact division.
+    """
+    dim = mat.dim
+    coeffs = [1]
+    acc = mat
+    for k in range(1, dim + 1):
+        coeffs.append(-acc.trace() // k)
+        if k < dim:
+            acc = mat @ (acc + IntMatrix.identity(dim).scaled(coeffs[-1]))
+    return IntPoly(reversed(coeffs))
+
+
+def _power_sums(q: IntPoly, count: int) -> list[int]:
+    """[0, s_1, ..., s_count]: power sums of the roots lambda of q = prod(1 - lambda z).
+
+    Division-free Newton recurrence n q_n + sum_{0<i<n} q_i s_(n-i) + s_n = 0.
+    """
+    c = q.coeffs
+    s = [0] * (count + 1)
+    for n in range(1, count + 1):
+        acc = n * c[n] if n < len(c) else 0
+        for i in range(1, min(n, len(c))):
+            acc += c[i] * s[n - i]
+        s[n] = -acc
+    return s
+
+
+def _from_power_sums(s, degree: int) -> list[int]:
+    """Coefficients of prod(1 - lambda z) over `degree` numbers lambda with power sums s[1..].
+
+    Inverts the recurrence of _power_sums; each division by n is exact
+    because the lambda are algebraic integers and the product lies in Z[z].
+    """
+    c = [1] + [0] * degree
+    for n in range(1, degree + 1):
+        c[n] = -sum(c[i] * s[n - i] for i in range(n)) // n
+    return c
+
+
+def _factors(p: IntPoly) -> tuple[IntPoly, ...]:
+    dim = p.degree
+    sizes = [math.comb(dim, k) for k in range(dim + 1)]
+    top = max(sizes)
+    traces = _power_sums(IntPoly(reversed(p.coeffs)), dim * top)  # tr M^n
+    # The eigenvalues of Lambda^k M are the products of k eigenvalues of M,
+    # so the n-th power sum of its eigenvalues is e_k(lambda^n): up to the
+    # sign (-1)^k, the z^k coefficient of det(1 - z M^n), whose own power
+    # sums are tr M^(jn).
+    e = [None] + [
+        [(-1) ** k * c for k, c in enumerate(_from_power_sums([0] + traces[n::n], dim))]
+        for n in range(1, top + 1)
+    ]
+    return tuple(
+        IntPoly(_from_power_sums([0] + [e[n][k] for n in range(1, size + 1)], size))
+        for k, size in enumerate(sizes)
+    )
 
 
 def char_factors(mat: IntMatrix) -> tuple[IntPoly, ...]:
@@ -98,21 +157,10 @@ def char_factors(mat: IntMatrix) -> tuple[IntPoly, ...]:
     Each factor has constant coefficient 1; the k = 0 factor is 1 - z and
     the top one is 1 - det(M) z.
     """
-    factors = []
-    for k in range(mat.dim + 1):
-        power = exterior_power(mat, k)
-        size = power.dim
-        factors.append(det_poly_linear(IntMatrix.identity(size), -power))
-    return tuple(factors)
+    return _factors(characteristic_polynomial(mat))
 
 
-def lefschetz_zeta(mat: IntMatrix) -> RatFunc:
-    """Rational function summing the signed fixed-point counts det(1 - M^m).
-
-    Alternating product of the exterior-power factors: odd k upstairs,
-    even k downstairs.
-    """
-    factors = char_factors(mat)
+def _lefschetz(factors) -> RatFunc:
     num = IntPoly((1,))
     den = IntPoly((1,))
     for k, p in enumerate(factors):
@@ -123,11 +171,27 @@ def lefschetz_zeta(mat: IntMatrix) -> RatFunc:
     return RatFunc(num, den)
 
 
+def lefschetz_zeta(mat: IntMatrix) -> RatFunc:
+    """Rational function summing the signed fixed-point counts det(1 - M^m).
+
+    Alternating product of the exterior-power factors: odd k upstairs,
+    even k downstairs.
+    """
+    return _lefschetz(char_factors(mat))
+
+
+def _signed_counts(factors, count: int) -> list[int]:
+    # det(1 - M^m) = sum_k (-1)^k tr (Lambda^k M)^m, and each trace is a
+    # power sum of the roots of factor k
+    sums = [_power_sums(f, count) for f in factors]
+    return [sum((-1) ** k * s[m] for k, s in enumerate(sums)) for m in range(1, count + 1)]
+
+
 def signed_count(mat: IntMatrix, m: int) -> int:
     """Lefschetz number of the m-th iterate, det(1 - M^m)."""
     if m < 1:
         raise ValueError("iterate must be positive")
-    return det_exact(IntMatrix.identity(mat.dim) - mat_pow(mat, m))
+    return _signed_counts(char_factors(mat), m)[-1]
 
 
 def isolated_fixed_count(mat: IntMatrix, m: int) -> int:
@@ -139,48 +203,40 @@ def isolated_fixed_count(mat: IntMatrix, m: int) -> int:
     return abs(signed_count(mat, m))
 
 
-def _sign_after_deflating(p: IntPoly, order: int) -> int:
-    """Sign of p(x)/(x-1)**order at x = 1; the division must be exact."""
-    for _ in range(order):
+def _order_and_sign_at_one(p: IntPoly) -> tuple[int, int]:
+    """Order of vanishing of p at x = 1, and the sign of p(x)/(x-1)**order there."""
+    order = 0
+    while (value := p(1)) == 0:
         p = deflate_at(p, 1)
-    value = p(1)
-    if value == 0:
-        raise ArithmeticError("sign evaluation hit an unexpected zero")
-    return 1 if value > 0 else -1
+        order += 1
+    return order, 1 if value > 0 else -1
+
+
+def _signs(p: IntPoly) -> SignData:
+    # det(x*1 + M) = (-1)^dim p(-x) vanishes at 1 to the order of the eigenvalue -1
+    tau, delta = _order_and_sign_at_one(p.substitute_signed(-1) * (-1) ** p.degree)
+    sigma, sign_at_one = _order_and_sign_at_one(p)
+    return SignData(sigma=sigma, tau=tau, delta=delta, epsilon=delta * sign_at_one)
 
 
 def signs(mat: IntMatrix) -> SignData:
     """Multiplicities of the eigenvalues +-1 and the sign pair (delta, epsilon).
 
-    The general path factors the characteristic polynomial as
-    (x-1)^sigma (x+1)^tau q(x) and reads the signs off exact evaluations
-    after deflation.  When sigma = tau = 0 these must agree with the plain
-    determinant signs of 1+M and 1-M, which is asserted.
+    Factors the characteristic polynomial p as (x-1)^sigma (x+1)^tau q(x)
+    and reads the signs off exact evaluations after deflation, of p at 1
+    and of det(x + M) = (-1)^dim p(-x) at 1.
     """
-    ident = IntMatrix.identity(mat.dim)
-    p = characteristic_polynomial(mat)
-    q = det_poly_linear(mat, ident)  # det(x*1 + M)
-    sigma = multiplicity_at(p, 1)
-    tau = multiplicity_at(p, -1)
-    delta = _sign_after_deflating(q, tau)
-    epsilon = delta * _sign_after_deflating(p, sigma)
-    if sigma == 0 and tau == 0:
-        det_plus = det_exact(ident + mat)
-        det_minus = det_exact(ident - mat)
-        fast_delta = 1 if det_plus > 0 else -1
-        fast_epsilon = fast_delta * (1 if det_minus > 0 else -1)
-        if (delta, epsilon) != (fast_delta, fast_epsilon):
-            raise AssertionError("sign fast path disagrees with the general path")
-    return SignData(sigma=sigma, tau=tau, delta=delta, epsilon=epsilon)
-
-
-def artin_mazur_zeta(mat: IntMatrix) -> RatFunc:
-    """Rational function summing the isolated fixed-point counts |det(1 - M^m)|."""
-    return _compose_signs(lefschetz_zeta(mat), signs(mat))
+    return _signs(characteristic_polynomial(mat))
 
 
 def _compose_signs(lefschetz: RatFunc, sign_data: SignData) -> RatFunc:
     return lefschetz.substitute_signed(sign_data.delta) ** sign_data.epsilon
+
+
+def artin_mazur_zeta(mat: IntMatrix) -> RatFunc:
+    """Rational function summing the isolated fixed-point counts |det(1 - M^m)|."""
+    p = characteristic_polynomial(mat)
+    return _compose_signs(_lefschetz(_factors(p)), _signs(p))
 
 
 def _mobius(n: int) -> int:
@@ -198,6 +254,17 @@ def _mobius(n: int) -> int:
     return out
 
 
+def _exponents(counts) -> list[int]:
+    out = []
+    for m in range(1, len(counts) + 1):
+        total = sum(_mobius(m // ell) * counts[ell - 1] for ell in range(1, m + 1) if m % ell == 0)
+        q, r = divmod(total, m)
+        if r:
+            raise ArithmeticError(f"orbit exponent at m={m} is not an integer")
+        out.append(q)
+    return out
+
+
 def euler_exponents(mat: IntMatrix, count: int) -> list[int]:
     """Exponents c_m of the product form prod (1 - z^m)^(-c_m).
 
@@ -206,15 +273,7 @@ def euler_exponents(mat: IntMatrix, count: int) -> list[int]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    a = [isolated_fixed_count(mat, m) for m in range(1, count + 1)]
-    out = []
-    for m in range(1, count + 1):
-        total = sum(_mobius(m // ell) * a[ell - 1] for ell in range(1, m + 1) if m % ell == 0)
-        q, r = divmod(total, m)
-        if r:
-            raise ArithmeticError(f"orbit exponent at m={m} is not an integer")
-        out.append(q)
-    return out
+    return _exponents([abs(x) for x in _signed_counts(char_factors(mat), count)])
 
 
 def generating_function(mat: IntMatrix) -> RatFunc:
@@ -250,17 +309,16 @@ def _isolate_root_moduli(p: IntPoly, accuracy: float) -> tuple[list[float], floa
     raise ArithmeticError("root isolation did not converge")
 
 
-def growth_rate(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GrowthRate | None:
-    """Exponential growth rate of the fixed-point counts.
+def _check_tolerance(tolerance: float) -> None:
+    # also refuses nan and inf, which would send root isolation to its
+    # precision limit or make any root modulus acceptable
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be finite and positive")
 
-    This is the reciprocal of the smallest root modulus of the reduced
-    denominator of the generating function; absent (None) when that
-    denominator is constant.  The value is correct to within the stated
-    tolerance.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    den = generating_function(mat).den
+
+def _growth_rate(artin_mazur: RatFunc, tolerance: float) -> GrowthRate | None:
+    _check_tolerance(tolerance)
+    den = artin_mazur.log_derivative().den
     if den.degree < 1:
         return None
     radical = _radical(den)
@@ -273,22 +331,26 @@ def growth_rate(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GrowthR
         accuracy /= 16
 
 
-def functional_equation_check(mat: IntMatrix) -> FunctionalEquationResult:
-    """Compare both zeta functions at z against 1/(det(M) z).
+def growth_rate(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GrowthRate | None:
+    """Exponential growth rate of the fixed-point counts.
 
-    With D = det(M) nonzero and B = D in dimension one (B = 1 otherwise),
-    the Lefschetz function satisfies f(1/(Dz)) = B * f(z)^(+-1) with the
-    sign of the exponent given by the parity of the dimension, and the
-    unsigned function picks up B^epsilon instead of B.
+    This is the reciprocal of the smallest root modulus of the reduced
+    denominator of the generating function; absent (None) when that
+    denominator is constant.  The value is correct to within the stated
+    tolerance, which must be finite and positive.
     """
-    d = det_exact(mat)
+    return _growth_rate(artin_mazur_zeta(mat), tolerance)
+
+
+def _functional_equation(
+    p: IntPoly, lefschetz: RatFunc, sign_data: SignData
+) -> FunctionalEquationResult:
+    dim = p.degree
+    d = (-1) ** dim * p.constant_coefficient  # det(M)
     if d == 0:
         raise ValueError("functional equation undefined for a singular matrix")
-    dim = mat.dim
     b = d if dim == 1 else 1
     exponent = 1 if dim % 2 == 0 else -1
-    lefschetz = lefschetz_zeta(mat)
-    sign_data = signs(mat)
     artin_mazur = _compose_signs(lefschetz, sign_data)
     lef_lhs = lefschetz.substitute_reciprocal(d)
     lef_rhs = RatFunc(b) * lefschetz**exponent
@@ -302,6 +364,18 @@ def functional_equation_check(mat: IntMatrix) -> FunctionalEquationResult:
         artin_mazur_lhs=am_lhs,
         artin_mazur_rhs=am_rhs,
     )
+
+
+def functional_equation_check(mat: IntMatrix) -> FunctionalEquationResult:
+    """Compare both zeta functions at z against 1/(det(M) z).
+
+    With D = det(M) nonzero and B = D in dimension one (B = 1 otherwise),
+    the Lefschetz function satisfies f(1/(Dz)) = B * f(z)^(+-1) with the
+    sign of the exponent given by the parity of the dimension, and the
+    unsigned function picks up B^epsilon instead of B.
+    """
+    p = characteristic_polynomial(mat)
+    return _functional_equation(p, _lefschetz(_factors(p)), _signs(p))
 
 
 def _euler_phi(n: int) -> int:
@@ -326,6 +400,35 @@ def _divides(divisor: IntPoly, dividend: IntPoly) -> bool:
     return True
 
 
+def _classify(p: IntPoly, tolerance: float) -> ClassificationReport:
+    _check_tolerance(tolerance)
+    dim = p.degree
+    # phi(n) >= sqrt(n/2), so phi(n) <= dim forces n <= 2 dim^2
+    orders = tuple(
+        n
+        for n in range(1, 2 * dim * dim + 1)
+        if _euler_phi(n) <= dim and _divides(cyclotomic_polynomial(n), p)
+    )
+    if orders:
+        hyperbolic, flag = False, "exact"
+    elif poly_gcd(p, IntPoly(tuple(reversed(p.coeffs)))).degree == 0:
+        # no root can pair with its inverse, so none sits on the unit circle
+        hyperbolic, flag = True, "exact"
+    elif all(
+        abs(mu - 1.0) > tolerance for mu in _isolate_root_moduli(_radical(p), tolerance / 16)[0]
+    ):
+        hyperbolic, flag = True, "numeric"
+    else:
+        hyperbolic, flag = None, "indeterminate"
+    return ClassificationReport(
+        singular=p.constant_coefficient == 0,
+        root_of_unity_orders=orders,
+        quasihyperbolic=not orders,
+        hyperbolic=hyperbolic,
+        hyperbolic_flag=flag,
+    )
+
+
 def classify(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Spectral classification of the torus endomorphism.
 
@@ -335,54 +438,10 @@ def classify(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> Classifica
     Hyperbolicity (no eigenvalue modulus 1) is decided exactly when the
     characteristic polynomial shares no factor with its reciprocal, and
     numerically otherwise; a non-cyclotomic root modulus within the
-    tolerance of 1 is reported as indeterminate, not guessed.
+    tolerance of 1 is reported as indeterminate, not guessed.  The
+    tolerance must be finite and positive.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    p = characteristic_polynomial(mat)
-    singular = p.constant_coefficient == 0
-    dim = mat.dim
-    # phi(n) >= sqrt(n/2), so phi(n) <= dim forces n <= 2 dim^2
-    orders = tuple(
-        n
-        for n in range(1, 2 * dim * dim + 1)
-        if _euler_phi(n) <= dim and _divides(cyclotomic_polynomial(n), p)
-    )
-    quasihyperbolic = not orders
-    if orders:
-        return ClassificationReport(
-            singular=singular,
-            root_of_unity_orders=orders,
-            quasihyperbolic=False,
-            hyperbolic=False,
-            hyperbolic_flag="exact",
-        )
-    reciprocal = IntPoly(tuple(reversed(p.coeffs)))
-    if poly_gcd(p, reciprocal).degree == 0:
-        # no root can pair with its inverse, so none sits on the unit circle
-        return ClassificationReport(
-            singular=singular,
-            root_of_unity_orders=(),
-            quasihyperbolic=True,
-            hyperbolic=True,
-            hyperbolic_flag="exact",
-        )
-    moduli, _ = _isolate_root_moduli(_radical(p), tolerance / 16)
-    if all(abs(mu - 1.0) > tolerance for mu in moduli):
-        return ClassificationReport(
-            singular=singular,
-            root_of_unity_orders=(),
-            quasihyperbolic=True,
-            hyperbolic=True,
-            hyperbolic_flag="numeric",
-        )
-    return ClassificationReport(
-        singular=singular,
-        root_of_unity_orders=(),
-        quasihyperbolic=True,
-        hyperbolic=None,
-        hyperbolic_flag="indeterminate",
-    )
+    return _classify(characteristic_polynomial(mat), tolerance)
 
 
 def build_report(
@@ -391,17 +450,18 @@ def build_report(
     """Assemble every computed quantity for one matrix."""
     if max_m < 1:
         raise ValueError("max_m must be positive")
-    sign_data = signs(mat)
-    lefschetz = lefschetz_zeta(mat)
+    p = characteristic_polynomial(mat)
+    factors = _factors(p)
+    sign_data = _signs(p)
+    lefschetz = _lefschetz(factors)
     artin_mazur = _compose_signs(lefschetz, sign_data)
-    signed = tuple(signed_count(mat, m) for m in range(1, max_m + 1))
+    signed = tuple(_signed_counts(factors, max_m))
     counts = tuple(abs(x) for x in signed)
-    exponents = tuple(euler_exponents(mat, max_m))
-    classification = classify(mat, tolerance)
+    classification = _classify(p, tolerance)
     if classification.singular:
         feq = None
     else:
-        feq = functional_equation_check(mat).holds
+        feq = _functional_equation(p, lefschetz, sign_data).holds
     return ZetaReport(
         matrix=mat,
         lefschetz_zeta=lefschetz,
@@ -409,8 +469,8 @@ def build_report(
         signs=sign_data,
         counts=counts,
         signed_counts=signed,
-        exponents=exponents,
+        exponents=tuple(_exponents(counts)),
         classification=classification,
         functional_equation_holds=feq,
-        growth_rate=growth_rate(mat, tolerance),
+        growth_rate=_growth_rate(artin_mazur, tolerance),
     )

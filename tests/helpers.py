@@ -1,6 +1,15 @@
-"""Shared builders for the randomized tests."""
+"""Shared builders for the randomized tests, and the matrix routes kept as references."""
 
-from toralzeta import IntMatrix, det_exact, mat_mul
+from toralzeta import (
+    IntMatrix,
+    SignData,
+    deflate_at,
+    det_exact,
+    det_poly_linear,
+    exterior_power,
+    mat_mul,
+    multiplicity_at,
+)
 
 
 def random_matrix(rng, dim=None, low=-3, high=3):
@@ -65,3 +74,77 @@ def random_with_unit_eigenvalue(rng, low=-3, high=3):
         if rng.random() < 0.5:
             blocks.reverse()
     return shear_conjugate(block_diag(*blocks), rng)
+
+
+def random_unimodular(rng, dim, steps=4):
+    """(U, U^-1) for a random product of integer shears."""
+    u, uinv = IntMatrix.identity(dim), IntMatrix.identity(dim)
+    for _ in range(steps if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        shear = [[int(a == b) for b in range(dim)] for a in range(dim)]
+        shear[i][j] = c
+        inverse = [row[:] for row in shear]
+        inverse[i][j] = -c
+        u = mat_mul(IntMatrix(shear), u)
+        uinv = mat_mul(uinv, IntMatrix(inverse))
+    return u, uinv
+
+
+def differential_matrices(rng, count=12):
+    """Matrices on which a route derived from the characteristic polynomial
+    could part from the matrix routes: random d = 1..6, singular,
+    root-of-unity, repeated-eigenvalue and reciprocal A + A^-T spectra."""
+    out = [random_matrix(rng, rng.randint(1, 6), -2, 2) for _ in range(count)]
+    for _ in range(count):
+        d = rng.randint(2, 5)
+        rows = [list(row) for row in random_matrix(rng, d).rows]
+        rows[-1] = [0] * d if rng.random() < 0.5 else rows[0][:]
+        out.append(shear_conjugate(IntMatrix(rows), rng))  # singular
+    for _ in range(count):
+        out.append(random_with_unit_eigenvalue(rng))
+    cyclic = [
+        [[0, -1], [1, 0]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, -1], [1, -1]],
+        [[1, 1], [-1, 0]],
+    ]
+    for _ in range(count):
+        blocks = rng.sample(cyclic, rng.randint(1, 2))
+        out.append(shear_conjugate(block_diag(*blocks), rng))  # roots of unity
+    for _ in range(count):
+        a = [list(row) for row in random_matrix(rng, rng.randint(1, 3)).rows]
+        jordan = [[2, 1, 0], [0, 2, 1], [0, 0, 2]][: rng.randint(1, 3)]
+        jordan = [row[: len(jordan)] for row in jordan]
+        repeated = block_diag(a, a) if rng.random() < 0.5 else block_diag(jordan, a)
+        out.append(shear_conjugate(repeated, rng))
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        a, ainv = random_unimodular(rng, d)
+        out.append(shear_conjugate(block_diag(a.rows, list(zip(*ainv.rows))), rng))  # A + A^-T
+    return out
+
+
+def exterior_factors(mat):
+    """det(1 - z Lambda^k M) for k = 0..dim, interpolated from exterior powers."""
+    factors = []
+    for k in range(mat.dim + 1):
+        power = exterior_power(mat, k)
+        factors.append(det_poly_linear(IntMatrix.identity(power.dim), -power))
+    return tuple(factors)
+
+
+def determinant_signs(mat):
+    """Sign data from det(x - M) and det(x + M), both interpolated from determinants."""
+    ident = IntMatrix.identity(mat.dim)
+    p = det_poly_linear(-mat, ident)
+    q = det_poly_linear(mat, ident)
+
+    def sign_after_deflating(poly, order):
+        for _ in range(order):
+            poly = deflate_at(poly, 1)
+        return 1 if poly(1) > 0 else -1
+
+    sigma, tau = multiplicity_at(p, 1), multiplicity_at(p, -1)
+    delta = sign_after_deflating(q, tau)
+    return SignData(sigma, tau, delta, delta * sign_after_deflating(p, sigma))

@@ -13,6 +13,7 @@ from toralzeta import (
     RatFunc,
     SignData,
     artin_mazur_zeta,
+    det_signed_count,
     enumerate_fixed_points,
     euler_exponents,
     euler_product_series,
@@ -24,7 +25,6 @@ from toralzeta import (
     isolated_fixed_count,
     lefschetz_zeta,
     mat_pow,
-    signed_count,
     signs,
     snf_fixed_count,
     sturm_sign_oracle,
@@ -114,10 +114,10 @@ def test_criterion_05_series_consistency(capsys):
         lef_series = lefschetz_zeta(m).log_derivative().series(8)
         gen_series = generating_function(m).series(8)
         for idx in range(1, 9):
-            if lef_series[idx] != signed_count(m, idx):
+            if lef_series[idx] != det_signed_count(m, idx):
                 problems.append(f"case {index}: signed mismatch at m={idx}")
                 break
-            if gen_series[idx] != isolated_fixed_count(m, idx):
+            if gen_series[idx] != abs(det_signed_count(m, idx)):
                 problems.append(f"case {index}: count mismatch at m={idx}")
                 break
     conclude(capsys, "series consistency", problems)
@@ -241,15 +241,15 @@ def test_criterion_12_cli_conformance(capsys, monkeypatch):
     if code != 0:
         problems.append(f"check on cat map exited {code}")
 
-    original = toralzeta.zeta.signs
+    original = toralzeta.zeta._signs
 
-    def corrupted(mat):
-        data = original(mat)
+    def corrupted(p):
+        data = original(p)
         return SignData(
             sigma=data.sigma, tau=data.tau, delta=data.delta, epsilon=-data.epsilon
         )
 
-    monkeypatch.setattr(toralzeta.zeta, "signs", corrupted)
+    monkeypatch.setattr(toralzeta.zeta, "_signs", corrupted)
     code, _ = run("check", "--matrix", "[[2,1],[1,1]]")
     monkeypatch.undo()
     if code != 2:

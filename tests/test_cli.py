@@ -232,10 +232,10 @@ class TestMainCheck:
     def test_corrupted_sign_fails(self, capsys, monkeypatch):
         # deliberately flip epsilon after the sign computation; independent
         # oracles must notice and the exit code must say so
-        original = toralzeta.zeta.signs
+        original = toralzeta.zeta._signs
 
-        def corrupted(mat):
-            data = original(mat)
+        def corrupted(p):
+            data = original(p)
             return SignData(
                 sigma=data.sigma,
                 tau=data.tau,
@@ -243,7 +243,7 @@ class TestMainCheck:
                 epsilon=-data.epsilon,
             )
 
-        monkeypatch.setattr(toralzeta.zeta, "signs", corrupted)
+        monkeypatch.setattr(toralzeta.zeta, "_signs", corrupted)
         code, out, _ = run_main(capsys, "check", "--matrix", CAT_TEXT, "--max-m", "4")
         assert code == 2
         lines = out.splitlines()
@@ -317,6 +317,15 @@ class TestMainErrors:
         assert code == 1
         assert "--tolerance" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance(self, capsys, tolerance):
+        for command in ("classify", "report"):
+            code, out, err = run_main(
+                capsys, command, "--matrix", CAT_TEXT, f"--tolerance={tolerance}"
+            )
+            assert (code, out) == (1, "")
+            assert "--tolerance must be finite and positive" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(capsys, "zeta", "--file", "/nonexistent/matrix.txt")
         assert code == 1
@@ -336,3 +345,22 @@ def test_file_input(tmp_path, capsys):
     code, out, _ = run_main(capsys, "zeta", "--file", str(target))
     assert code == 0
     assert out == "(1 - z)^2 / (1 - 3 z + z^2)\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["zeta", "lefschetz", "counts", "exponents", "classify", "check", "report"]
+)
+def test_one_characteristic_polynomial_per_request(capsys, monkeypatch, command):
+    calls = []
+    original = toralzeta.zeta.characteristic_polynomial
+
+    def counted(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(toralzeta.zeta, "characteristic_polynomial", counted)
+    for extra in ([], ["--unreduced"], ["--format", "json"]):
+        calls.clear()
+        code, _, _ = run_main(capsys, command, "--matrix", CAT_TEXT, "--max-m", "4", *extra)
+        assert code == 0
+        assert len(calls) == 1

@@ -15,6 +15,7 @@ from toralzeta import (
     characteristic_polynomial,
     classify,
     det_exact,
+    det_signed_count,
     euler_exponents,
     exterior_power,
     functional_equation_check,
@@ -195,8 +196,8 @@ def test_log_derivative_series_counts():
         lef_series = lefschetz_zeta(m).log_derivative().series(6)
         gen_series = generating_function(m).series(6)
         for idx in range(1, 7):
-            assert lef_series[idx] == signed_count(m, idx)
-            assert gen_series[idx] == isolated_fixed_count(m, idx)
+            assert lef_series[idx] == det_signed_count(m, idx)
+            assert gen_series[idx] == abs(det_signed_count(m, idx))
         assert lef_series[0] == 0
         assert gen_series[0] == 0
 
@@ -253,6 +254,13 @@ def test_growth_rate_zero_matrix():
 def test_growth_rate_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         growth_rate(CAT, tolerance=0.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_rejected(tolerance):
+    for compute in (growth_rate, classify, lambda m, t: build_report(m, 2, t)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            compute(CAT, tolerance)
 
 
 def test_growth_rate_dominates_counts():
