@@ -3,10 +3,12 @@
 Everything here recomputes a quantity through a route disjoint from the
 main one, which derives every quantity from the characteristic polynomial:
 fixed points are counted as determinants of the iterates and through
-Smith normal form, enumerated as explicit rational points on the torus,
-the zeta series is rebuilt by exponentiating the count sum, and the sign
-pair is read off Sturm root counts of a characteristic polynomial
-interpolated from determinants.  Nothing here imports the main route.
+Smith normal form, enumerated as explicit rational points on the torus
+(in integer coordinates over the last Smith divisor, verified by exact
+substitution), the zeta series is rebuilt by exponentiating the count sum
+with an integer recurrence, and the sign pair is read off Sturm root
+counts of a characteristic polynomial interpolated from determinants.
+Nothing here imports the main route.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ def enumerate_fixed_points(mat: IntMatrix, m: int) -> FixedPointSet:
     """Solve M^m x = x mod 1 exactly.
 
     The solutions of (1 - M^m) x in Z^d come out of the Smith form
-    U(1-M^m)V = D as x = V y with y_i ranging over k/d_i.  Each candidate
-    is verified by exact substitution.  Raises when a finite solution set
-    would exceed the enumeration limit.
+    U(1-M^m)V = D as x = V y with y_i ranging over k/d_i.  Every d_i
+    divides the last divisor L, so the points are enumerated as integer
+    vectors X = L x mod L, and each candidate is verified by exact
+    substitution, M^m X = X mod L.  Raises when a finite solution set would
+    exceed the enumeration limit.
     """
     if m < 1:
         raise ValueError("iterate must be positive")
@@ -88,37 +92,50 @@ def enumerate_fixed_points(mat: IntMatrix, m: int) -> FixedPointSet:
         total *= d
     if total > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration too large: {total} fixed points")
+    last = divisors[-1]
+    if any(last % d for d in divisors):
+        raise AssertionError(f"Smith divisors {divisors} do not all divide the last one")
+    # column j of V, scaled so that y_j = k/d_j becomes the integer k * L/d_j
+    steps = [[trans[i, j] * (last // divisors[j]) for i in range(dim)] for j in range(dim)]
+    rows = [[power[i, j] for j in range(dim)] for i in range(dim)]
     points = []
     for ks in product(*(range(d) for d in divisors)):
-        y = [Fraction(k, d) for k, d in zip(ks, divisors)]
-        x = tuple(
-            sum(trans[i, j] * y[j] for j in range(dim)) % 1 for i in range(dim)
-        )
-        image = [
-            sum(power[i, j] * x[j] for j in range(dim)) - x[i] for i in range(dim)
-        ]
-        if any(entry.denominator != 1 for entry in image):
-            raise AssertionError("candidate fixed point failed exact substitution")
-        points.append(x)
-    points.sort()
-    return FixedPointSet(finite=True, points=tuple(points), count=total)
+        x = [sum(k * col[i] for k, col in zip(ks, steps)) % last for i in range(dim)]
+        for i, row in enumerate(rows):
+            if (sum(a * b for a, b in zip(row, x)) - x[i]) % last:
+                raise AssertionError("candidate fixed point failed exact substitution")
+        points.append(tuple(x))
+    points.sort()  # one common denominator, so integer order is torus order
+    coords = [Fraction(k, last) for k in range(last)]
+    return FixedPointSet(
+        finite=True, points=tuple(tuple(coords[k] for k in x) for x in points), count=total
+    )
 
 
 def exp_sum_zeta_series(mat: IntMatrix, order: int) -> list[Fraction]:
     """Zeta series through z**order, rebuilt from the counts alone.
 
-    Exponentiates sum a_m z^m / m with the recurrence f' = g' f on exact
-    rationals; no rational-function arithmetic involved.
+    Exponentiates sum a_m z^m / m with the recurrence f' = g' f, which in
+    coefficients reads k f_k = sum_j a_j f_(k-j); the series has integer
+    coefficients, so every division must be exact, and anything else
+    raises.  One running matrix power serves every count; no
+    rational-function arithmetic involved.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    g = [Fraction(0)] * (order + 1)
-    for m in range(1, order + 1):
-        g[m] = Fraction(abs(det_signed_count(mat, m)), m)
-    f = [Fraction(1)] + [Fraction(0)] * order
+    ident = IntMatrix.identity(mat.dim)
+    counts = [0]
+    power = ident
+    for _ in range(order):
+        power = power @ mat
+        counts.append(abs(det_exact(ident - power)))
+    f = [1]
     for k in range(1, order + 1):
-        f[k] = sum(j * g[j] * f[k - j] for j in range(1, k + 1)) / k
-    return f
+        q, r = divmod(sum(counts[j] * f[k - j] for j in range(1, k + 1)), k)
+        if r:
+            raise ArithmeticError(f"zeta series coefficient {k} is not an integer")
+        f.append(q)
+    return [Fraction(c) for c in f]
 
 
 def euler_product_series(exponents, order: int) -> list[Fraction]:

@@ -4,8 +4,13 @@ Polynomials store ascending integer coefficients with no trailing zeros.
 Rational functions are kept in a canonical reduced form, so equality of
 values is plain structural equality: numerator and denominator share no
 polynomial factor and no integer content, and the denominator has a
-positive leading coefficient.  Rational numbers appear only transiently,
-inside interpolation, power-series expansion and Sturm remainders.
+positive leading coefficient.  A gcd is first attempted modulo one fixed
+prime, which settles coprimality (the common case) on residues below
+2^61; only pairs it cannot certify go through the subresultant
+sequence over Z.  Operations known to keep a reduced pair reduced skip the
+gcd altogether.  Rational numbers appear only transiently, inside
+interpolation, power-series expansion, Sturm remainders and exact
+division.
 """
 
 from __future__ import annotations
@@ -235,12 +240,55 @@ def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     return r
 
 
+# Brown's modular argument: a prime not dividing lc(a) keeps the degree of
+# every factor of a, so a gcd of degree 0 modulo it is a gcd of degree 0 over Z.
+_CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def _reduce_mod(p: IntPoly, q: int) -> list[int]:
+    out = [c % q for c in p.coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _coprime_mod_prime(a: IntPoly, b: IntPoly) -> bool:
+    """True when Euclid over GF(q), q = 2^61 - 1, certifies primitive a, b coprime.
+
+    Sound only when q does not divide lc(a): the gcd over Z divides a, so its
+    leading coefficient divides lc(a) and it keeps its degree modulo q.
+    False means "not certified", never "not coprime".
+    """
+    q = _CERTIFICATE_PRIME
+    if a.leading_coefficient % q == 0:
+        return False
+    u, v = _reduce_mod(a, q), _reduce_mod(b, q)
+    while v:
+        inv = pow(v[-1], -1, q)
+        v = [c * inv % q for c in v]  # monic
+        top = len(v) - 1
+        while len(u) > top:
+            f = u[-1]
+            shift = len(u) - 1 - top
+            for i in range(top):
+                u[shift + i] = (u[shift + i] - f * v[i]) % q
+            u.pop()
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return len(u) == 1
+
+
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd in Z[z] with positive leading coefficient.
 
-    Subresultant pseudo-remainder sequence: all intermediates stay
-    integral, with the growth of coefficients tamed by the exact divisions
-    of the classical algorithm.
+    The primitive parts are first reduced modulo the prime 2^61 - 1 and run
+    through Euclid's algorithm there.  When that gcd is a constant and the
+    prime does not divide the leading coefficient of the higher-degree
+    part, the parts are coprime over Z and the answer is 1 (Brown 1971).
+    Otherwise the subresultant pseudo-remainder sequence decides: all
+    intermediates stay integral, with the growth of coefficients tamed by
+    the exact divisions of the classical algorithm.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
@@ -251,7 +299,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     a, b = _positive_primitive(p), _positive_primitive(q)
     if a.degree < b.degree:
         a, b = b, a
-    if b.degree == 0:
+    if b.degree == 0 or _coprime_mod_prime(a, b):
         return IntPoly((1,))
     g = h = 1
     while True:
@@ -507,11 +555,21 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self):
-        out = object.__new__(RatFunc)
-        out._num = -self._num
-        out._den = self._den
+    @classmethod
+    def _from_reduced(cls, num: IntPoly, den: IntPoly) -> RatFunc:
+        """Wrap a pair already coprime and free of common content, skipping the gcd.
+
+        Only the sign of the denominator's leading coefficient is fixed.
+        """
+        if den.leading_coefficient < 0:
+            num, den = -num, -den
+        out = object.__new__(cls)
+        out._num = num
+        out._den = den
         return out
+
+    def __neg__(self):
+        return RatFunc._from_reduced(-self._num, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
@@ -526,12 +584,14 @@ class RatFunc:
         return RatFunc(self._num * other._den, self._den * other._num)
 
     def __pow__(self, exponent: int):
+        # powers of a coprime pair stay coprime, and by Gauss's lemma the
+        # contents are powers of coprime contents
         e = operator.index(exponent)
         if e >= 0:
-            return RatFunc(self._num**e, self._den**e)
+            return RatFunc._from_reduced(self._num**e, self._den**e)
         if self.is_zero():
             raise ZeroDivisionError("negative power of the zero function")
-        return RatFunc(self._den ** (-e), self._num ** (-e))
+        return RatFunc._from_reduced(self._den ** (-e), self._num ** (-e))
 
     def evaluate(self, x) -> Fraction:
         den_val = self._den(x)
@@ -543,7 +603,8 @@ class RatFunc:
         """f(sign*z) for sign = +1 or -1."""
         if sign == 1:
             return self
-        return RatFunc(
+        # z -> -z is a ring automorphism that keeps the contents: still reduced
+        return RatFunc._from_reduced(
             self._num.substitute_signed(sign), self._den.substitute_signed(sign)
         )
 

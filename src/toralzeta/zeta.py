@@ -230,6 +230,7 @@ def signs(mat: IntMatrix) -> SignData:
 
 
 def _compose_signs(lefschetz: RatFunc, sign_data: SignData) -> RatFunc:
+    # both steps keep the reduced form, so no gcd runs here
     return lefschetz.substitute_signed(sign_data.delta) ** sign_data.epsilon
 
 
@@ -327,7 +328,10 @@ def _growth_rate(artin_mazur: RatFunc, tolerance: float) -> GrowthRate | None:
         moduli, err = _isolate_root_moduli(radical, accuracy)
         rho = min(moduli)
         if rho > err and err / (rho * (rho - err)) <= tolerance / 2:
-            return GrowthRate(value=1.0 / rho, error=tolerance)
+            value = 1.0 / rho
+            # rounding rho and 1/rho to doubles adds under two ulps, so a
+            # tolerance finer than the double itself is not claimed
+            return GrowthRate(value=value, error=max(tolerance, 4 * math.ulp(value)))
         accuracy /= 16
 
 
@@ -337,7 +341,8 @@ def growth_rate(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GrowthR
     This is the reciprocal of the smallest root modulus of the reduced
     denominator of the generating function; absent (None) when that
     denominator is constant.  The value is correct to within the stated
-    tolerance, which must be finite and positive.
+    error: the tolerance, which must be finite and positive, or a few
+    units in the last place of the double when the tolerance is finer.
     """
     return _growth_rate(artin_mazur_zeta(mat), tolerance)
 

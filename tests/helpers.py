@@ -1,14 +1,23 @@
-"""Shared builders for the randomized tests, and the matrix routes kept as references."""
+"""Shared builders for the randomized tests, and the routes kept as references."""
+
+from fractions import Fraction
+from itertools import product
+from math import prod
 
 from toralzeta import (
+    ENUMERATION_LIMIT,
+    FixedPointSet,
     IntMatrix,
     SignData,
     deflate_at,
     det_exact,
     det_poly_linear,
+    det_signed_count,
     exterior_power,
     mat_mul,
+    mat_pow,
     multiplicity_at,
+    smith_normal_form,
 )
 
 
@@ -148,3 +157,34 @@ def determinant_signs(mat):
     sigma, tau = multiplicity_at(p, 1), multiplicity_at(p, -1)
     delta = sign_after_deflating(q, tau)
     return SignData(sigma, tau, delta, delta * sign_after_deflating(p, sigma))
+
+
+def fraction_fixed_points(mat, m):
+    """The fixed points of M^m as rationals: the Smith-form enumeration on Fraction coordinates."""
+    dim = mat.dim
+    power = mat_pow(mat, m)
+    _, diag, trans = smith_normal_form(IntMatrix.identity(dim) - power)
+    divisors = [diag[i, i] for i in range(dim)]
+    if any(d == 0 for d in divisors):
+        return FixedPointSet(finite=False, points=None, count=None)
+    total = prod(divisors)
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration too large: {total} fixed points")
+    points = []
+    for ks in product(*(range(d) for d in divisors)):
+        y = [Fraction(k, d) for k, d in zip(ks, divisors)]
+        x = tuple(sum(trans[i, j] * y[j] for j in range(dim)) % 1 for i in range(dim))
+        image = [sum(power[i, j] * x[j] for j in range(dim)) - x[i] for i in range(dim)]
+        assert all(entry.denominator == 1 for entry in image)
+        points.append(x)
+    points.sort()
+    return FixedPointSet(finite=True, points=tuple(points), count=total)
+
+
+def fraction_exp_sum_series(mat, order):
+    """exp(sum |det(1 - M^m)| z^m / m) through z**order by f' = g' f on Fractions."""
+    g = [Fraction(0)] + [Fraction(abs(det_signed_count(mat, m)), m) for m in range(1, order + 1)]
+    f = [Fraction(1)]
+    for k in range(1, order + 1):
+        f.append(sum(j * g[j] * f[k - j] for j in range(1, k + 1)) / k)
+    return f

@@ -293,6 +293,13 @@ class TestMainReport:
         assert parsed["signs"] == {"sigma": 0, "tau": 0, "delta": 1, "epsilon": -1}
         assert parsed["functional_equation"] is True
 
+    def test_error_bound_below_float_resolution(self, capsys):
+        code, out, _ = run_main(
+            capsys, "report", "--matrix", CAT_TEXT, "--max-m", "2", "--tolerance", "1e-300"
+        )
+        assert code == 0
+        assert "growth rate: 2.618033988749895 (error bound 1.7763568394002505e-15)" in out.splitlines()
+
     def test_singular_report(self, capsys):
         code, out, _ = run_main(capsys, "report", "--matrix", "[[0]]", "--max-m", "2")
         assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from toralzeta import oracle
 from toralzeta import (
     ENUMERATION_LIMIT,
     IntMatrix,
@@ -78,6 +79,13 @@ class TestEnumerateFixedPoints:
         with pytest.raises(ValueError):
             enumerate_fixed_points(CAT, 0)
 
+    def test_refuses_unchained_smith_divisors(self, monkeypatch):
+        ident = IntMatrix.identity(2)
+        unchained = IntMatrix([[2, 0], [0, 3]])
+        monkeypatch.setattr(oracle, "smith_normal_form", lambda system: (ident, unchained, ident))
+        with pytest.raises(AssertionError, match="divide the last"):
+            enumerate_fixed_points(IntMatrix([[3, 0], [0, 4]]), 1)
+
     def test_counts_match_and_points_are_fixed(self):
         rng = random.Random(22)
         for _ in range(40):
@@ -107,6 +115,14 @@ def test_exp_sum_series_minus_one():
 def test_exp_sum_series_rejects_negative_order():
     with pytest.raises(ValueError):
         exp_sum_zeta_series(CAT, -1)
+
+
+def test_exp_sum_series_refuses_counts_of_no_zeta_function(monkeypatch):
+    # counts 0, 1 give 2 f_2 = 1: no integer series has them
+    counts = iter([0, 1])
+    monkeypatch.setattr(oracle, "det_exact", lambda system: next(counts))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        exp_sum_zeta_series(CAT, 2)
 
 
 def test_exp_sum_series_matches_rational_function():

@@ -304,6 +304,27 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(0) ** -1
 
+    def test_unreduced_operations_stay_canonical(self):
+        # these skip the gcd; the denominator's sign and the contents must
+        # still come out as a full reduction leaves them
+        cases = [
+            RatFunc(IntPoly((1, 2)), IntPoly((1, 3))),
+            RatFunc(IntPoly((1, -2))),
+            RatFunc(IntPoly((2,)), IntPoly((1, 1))),
+            RatFunc(IntPoly((-1, 0, 3)), IntPoly((2, 0, 0, 5))),
+            RatFunc(0),
+        ]
+        for f in cases:
+            g = f.substitute_signed(-1)
+            assert g == RatFunc(f.num.substitute_signed(-1), f.den.substitute_signed(-1))
+            assert g.den.leading_coefficient > 0
+            for e in range(-3, 4):
+                if e < 0 and f.is_zero():
+                    continue
+                top, bottom = (f.num, f.den) if e >= 0 else (f.den, f.num)
+                assert f**e == RatFunc(top ** abs(e), bottom ** abs(e))
+            assert -f == RatFunc(-f.num, f.den)
+
     def test_evaluate_pole(self):
         f = RatFunc(IntPoly((1,)), IntPoly((-1, 1)))
         with pytest.raises(ZeroDivisionError):

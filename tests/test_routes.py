@@ -1,9 +1,13 @@
-"""The routes derived from the characteristic polynomial against the matrix routes.
+"""Each fast route against the route it bypasses.
 
 Factors, signed counts and sign data are served from p = det(x - M) alone;
-here each is compared with the route that works on the matrix itself, on
-the inputs where the two could part: singular, root-of-unity,
-repeated-eigenvalue and reciprocal (A + A^-T) spectra.
+here each is compared with the route that works on the matrix itself.  The
+gcd's modular coprimality certificate is compared with the subresultant
+sequence, the rational-function operations that skip reduction with a
+full reduction, and the integer fixed-point enumeration with the same
+enumeration on Fraction coordinates.  The inputs are those where the
+routes could part: singular, root-of-unity, repeated-eigenvalue and
+reciprocal (A + A^-T) spectra.
 """
 
 import random
@@ -12,16 +16,29 @@ import pytest
 
 from toralzeta import (
     IntMatrix,
+    IntPoly,
+    RatFunc,
     char_factors,
     characteristic_polynomial,
     det_exact,
     det_poly_linear,
     det_signed_count,
+    enumerate_fixed_points,
+    exp_sum_zeta_series,
+    poly_gcd,
     signed_count,
     signs,
+    snf_fixed_count,
 )
-from toralzeta.zeta import _factors, _signed_counts
-from helpers import determinant_signs, differential_matrices, exterior_factors
+from toralzeta import polynomials
+from toralzeta.zeta import _compose_signs, _factors, _lefschetz, _signed_counts, _signs
+from helpers import (
+    determinant_signs,
+    differential_matrices,
+    exterior_factors,
+    fraction_exp_sum_series,
+    fraction_fixed_points,
+)
 
 MATRICES = differential_matrices(random.Random(2024))
 
@@ -61,3 +78,95 @@ def test_matrix_set_covers_each_kind():
     assert dims == {1, 2, 3, 4, 5, 6}
     assert any(det_exact(m) == 0 for m in MATRICES)
     assert any(signs(m).sigma + signs(m).tau for m in MATRICES)
+
+
+def gcd_pairs(mat):
+    """p with its reversal and its derivative, and the unreduced Lefschetz pair."""
+    p = characteristic_polynomial(mat)
+    factors = _factors(p)
+    num, den = IntPoly((1,)), IntPoly((1,))
+    for k, f in enumerate(factors):
+        if k % 2:
+            num = num * f
+        else:
+            den = den * f
+    return [(p, IntPoly(reversed(p.coeffs))), (p, p.derivative()), (num, den)]
+
+
+def subresultant_gcd(a, b, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_coprime_mod_prime", lambda a, b: False)
+        return poly_gcd(a, b)
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_certified_gcd_matches_subresultant_gcd(mat, monkeypatch):
+    for a, b in gcd_pairs(mat):
+        assert poly_gcd(a, b) == subresultant_gcd(a, b, monkeypatch)
+
+
+def test_certificate_fires_and_refuses_on_the_matrix_set(monkeypatch):
+    verdicts = set()
+    certify = polynomials._coprime_mod_prime
+
+    def recording(a, b):
+        verdict = certify(a, b)
+        verdicts.add(verdict)
+        return verdict
+
+    monkeypatch.setattr(polynomials, "_coprime_mod_prime", recording)
+    for mat in MATRICES:
+        for a, b in gcd_pairs(mat):
+            poly_gcd(a, b)
+    assert verdicts == {True, False}
+
+
+PRIME = polynomials._CERTIFICATE_PRIME
+
+
+def test_certificate_refuses_a_leading_coefficient_divisible_by_the_prime():
+    # the common factor PRIME z + 1 is a unit modulo PRIME, where the pair
+    # reduces to z + 1 and z + 2 with a gcd of degree 0
+    common = IntPoly((1, PRIME))
+    a, b = common * IntPoly((1, 1)), common * IntPoly((2, 1))
+    assert polynomials._reduce_mod(common, PRIME) == [1]
+    assert not polynomials._coprime_mod_prime(a, b)
+    assert poly_gcd(a, b) == common
+
+
+def test_pair_coprime_over_z_but_not_modulo_the_prime_falls_back():
+    a, b = IntPoly((PRIME, 1)), IntPoly((0, 1))
+    assert not polynomials._coprime_mod_prime(a, b)
+    assert poly_gcd(a, b) == IntPoly((1,))
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_unreduced_operations_match_full_reduction(mat):
+    p = characteristic_polynomial(mat)
+    lefschetz = _lefschetz(_factors(p))
+    for f in (lefschetz, _compose_signs(lefschetz, _signs(p))):
+        assert f.substitute_signed(-1) == RatFunc(
+            f.num.substitute_signed(-1), f.den.substitute_signed(-1)
+        )
+        for e in range(-2, 3):
+            top, bottom = (f.num, f.den) if e >= 0 else (f.den, f.num)
+            assert f**e == RatFunc(top ** abs(e), bottom ** abs(e))
+
+
+# The Fraction reference costs about 0.2 ms a point, so the comparison runs
+# on every iterate up to ENUMERATED_ITERATES with at most ENUMERATED_POINTS
+# points, far below the oracle's own limit.
+ENUMERATED_ITERATES = 12
+ENUMERATED_POINTS = 100
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_integer_enumeration_matches_fraction_enumeration(mat):
+    for m in range(1, ENUMERATED_ITERATES + 1):
+        if snf_fixed_count(mat, m) <= ENUMERATED_POINTS:
+            assert enumerate_fixed_points(mat, m) == fraction_fixed_points(mat, m)
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_integer_exp_sum_matches_fraction_recurrence(mat):
+    assert exp_sum_zeta_series(mat, 12) == fraction_exp_sum_series(mat, 12)

@@ -240,6 +240,14 @@ def test_growth_rate_values():
     assert math.isclose(cat.value, golden, rel_tol=0, abs_tol=1e-9)
 
 
+def test_growth_rate_error_is_true_of_the_double():
+    # a double near 2.618 carries about 4.4e-16; a finer tolerance is not claimed
+    cat = growth_rate(CAT, tolerance=1e-300)
+    assert cat is not None
+    assert cat.error == 4 * math.ulp(cat.value)
+    assert growth_rate(CAT, tolerance=1e-14).error == 1e-14
+
+
 def test_growth_rate_absent():
     assert growth_rate(IntMatrix([[1]])) is None
     assert growth_rate(SWAP) is None
