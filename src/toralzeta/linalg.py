@@ -4,12 +4,20 @@ Matrices are immutable, square, and hold arbitrary-precision Python ints,
 so every operation is exact at any magnitude: products, powers,
 fraction-free determinants, compound matrices of minors, and Smith normal
 form with its unimodular transforms.
+
+Validation happens where rows enter from outside: IntMatrix(rows) checks
+that every entry is an integer and that the table is square and non-empty.
+The kernels here (identity, scaled, +, products, Smith normal form) build
+their results from tables they made themselves out of validated
+operands, so they wrap them through IntMatrix._trusted without checking
+again.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import combinations
+from operator import add, mul
 
 
 class IntMatrix:
@@ -30,8 +38,17 @@ class IntMatrix:
         self._rows = table
 
     @classmethod
+    def _trusted(cls, table: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """Wrap a non-empty square tuple of int tuples, skipping validation."""
+        out = object.__new__(cls)
+        out._rows = table
+        return out
+
+    @classmethod
     def identity(cls, dim: int) -> IntMatrix:
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
+        if dim < 1:
+            raise ValueError("matrix needs at least one row")
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     @classmethod
     def zero(cls, dim: int) -> IntMatrix:
@@ -54,15 +71,15 @@ class IntMatrix:
 
     def scaled(self, factor: int) -> IntMatrix:
         factor = operator.index(factor)
-        return IntMatrix([[factor * x for x in row] for row in self._rows])
+        return IntMatrix._trusted(tuple(tuple(factor * x for x in row) for row in self._rows))
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return IntMatrix(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        return IntMatrix._trusted(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other):
@@ -102,8 +119,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     cols = list(zip(*b.rows))
-    return IntMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+    return IntMatrix._trusted(
+        tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.rows)
     )
 
 
@@ -284,4 +301,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(n):
                 a[t][j] = -a[t][j]
                 u[t][j] = -u[t][j]
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    trusted = IntMatrix._trusted
+    return (
+        trusted(tuple(map(tuple, u))),
+        trusted(tuple(map(tuple, a))),
+        trusted(tuple(map(tuple, v))),
+    )

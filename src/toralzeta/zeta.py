@@ -240,29 +240,21 @@ def artin_mazur_zeta(mat: IntMatrix) -> RatFunc:
     return _compose_signs(_lefschetz(_factors(p)), _signs(p))
 
 
-def _mobius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def _exponents(counts) -> list[int]:
+    # N_m = sum of l c_l over the divisors l of m (Moebius inversion).  A
+    # sieve peels each l c_l off the counts of the multiples of l, so what
+    # is left at m is m c_m.
+    rest = list(counts)
     out = []
-    for m in range(1, len(counts) + 1):
-        total = sum(_mobius(m // ell) * counts[ell - 1] for ell in range(1, m + 1) if m % ell == 0)
-        q, r = divmod(total, m)
+    for ell in range(1, len(rest) + 1):
+        share = rest[ell - 1]
+        q, r = divmod(share, ell)
         if r:
-            raise ArithmeticError(f"orbit exponent at m={m} is not an integer")
+            raise ArithmeticError(f"orbit exponent at m={ell} is not an integer")
         out.append(q)
+        if share:
+            for index in range(2 * ell - 1, len(rest), ell):
+                rest[index] -= share
     return out
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb, prod
 
 from toralzeta import (
     ENUMERATION_LIMIT,
@@ -188,3 +188,53 @@ def fraction_exp_sum_series(mat, order):
     for k in range(1, order + 1):
         f.append(sum(j * g[j] * f[k - j] for j in range(1, k + 1)) / k)
     return f
+
+
+def _mobius(n):
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+def mobius_exponents(counts):
+    """Orbit exponents c_m = (1/m) sum_(l | m) mu(m/l) N_l, with trial-division Moebius."""
+    out = []
+    for m in range(1, len(counts) + 1):
+        total = sum(_mobius(m // ell) * counts[ell - 1] for ell in range(1, m + 1) if m % ell == 0)
+        q, r = divmod(total, m)
+        if r:
+            raise ArithmeticError(f"orbit exponent at m={m} is not an integer")
+        out.append(q)
+    return out
+
+
+def fraction_euler_product_series(exponents, order):
+    """prod_m (1 - z^m)^(-c_m) through z**order, every factor expanded by binomials on Fractions."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for m, c in enumerate(exponents, start=1):
+        if m > order:
+            break
+        factor = [Fraction(0)] * (order + 1)
+        for j in range(order // m + 1):
+            if c >= 0:
+                w = comb(c + j - 1, j) if j else 1
+            else:
+                w = (-1) ** j * comb(-c, j)
+            factor[m * j] = Fraction(w)
+        merged = [Fraction(0)] * (order + 1)
+        for i, a in enumerate(coeffs):
+            if a:
+                for j in range(0, order - i + 1, m):
+                    if factor[j]:
+                        merged[i + j] += a * factor[j]
+        coeffs = merged
+    return coeffs

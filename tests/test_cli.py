@@ -6,6 +6,7 @@ import random
 import pytest
 
 import toralzeta.zeta
+from toralzeta import cli, oracle
 from toralzeta import (
     IntMatrix,
     MatrixParseError,
@@ -250,6 +251,34 @@ class TestMainCheck:
         assert "check signs (sturm oracle): fail" in lines
         assert "check zeta series (exp sum oracle): fail" in lines
 
+    def test_unchained_smith_diagonal_fails_the_enumeration_row(self, capsys, monkeypatch):
+        # 1 - diag(3, 4) = diag(-2, -3): a Smith form diag(2, 3) has the
+        # right product but no divisor chain, which the enumeration refutes
+        ident = IntMatrix.identity(2)
+        unchained = IntMatrix([[2, 0], [0, 3]])
+        monkeypatch.setattr(oracle, "smith_normal_form", lambda system: (ident, unchained, ident))
+        code, out, err = run_main(capsys, "check", "--matrix", "[[3,0],[0,4]]", "--max-m", "1")
+        assert code == 2
+        assert err == ""
+        lines = out.splitlines()
+        assert "check fixed-point counts (smith oracle): pass" in lines
+        assert "check fixed-point enumeration: fail" in lines
+        assert sum(line.endswith(": fail") for line in lines) == 1
+
+    def test_counts_of_no_product_form_fail_without_a_traceback(self, capsys, monkeypatch):
+        # counts 0, 1 give the orbit exponent 1/2 and the series coefficient
+        # f_2 = 1/2, so the exponent sieve and the exp-sum recurrence raise
+        # ArithmeticError; served counts and iterate determinants both get them
+        monkeypatch.setattr(toralzeta.zeta, "_signed_counts", lambda factors, count: [0, 1][:count])
+        dets = iter([0, 1])
+        monkeypatch.setattr(cli, "det_exact", lambda system: next(dets))
+        code, out, err = run_main(capsys, "check", "--matrix", CAT_TEXT, "--max-m", "2")
+        assert code == 2
+        assert err == ""
+        lines = out.splitlines()
+        assert "check zeta series (exp sum oracle): fail" in lines
+        assert "check euler product: fail" in lines
+
     def test_json_statuses(self, capsys):
         code, out, _ = run_main(
             capsys, "check", "--matrix", "[[2]]", "--format", "json", "--max-m", "4"
@@ -344,6 +373,26 @@ class TestMainErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run_main(capsys, "--help")[0] == 0
+
+
+def test_parser_is_built_once_and_answers_like_a_fresh_one(capsys):
+    sequence = [
+        ("zeta", "--matrix", CAT_TEXT, "--format", "xml"),
+        ("counts", "--matrix", CAT_TEXT, "--max-m", "3"),
+        ("report", "--matrix", "[[2]]", "--max-m", "2", "--format", "json"),
+        ("--help",),
+        ("check", "--matrix", CAT_TEXT, "--max-m", "2"),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run_main(capsys, *argv))
+    cli._build_parser.cache_clear()
+    reused = [run_main(capsys, *argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0]
+    assert "invalid choice: 'xml'" in reused[0][2]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_file_input(tmp_path, capsys):

@@ -86,6 +86,18 @@ class TestEnumerateFixedPoints:
         with pytest.raises(AssertionError, match="divide the last"):
             enumerate_fixed_points(IntMatrix([[3, 0], [0, 4]]), 1)
 
+    def test_refuses_a_point_that_is_not_fixed(self):
+        # X = k over L = 3 for k < 3, but 2 X - X = X is not 0 mod 3 for k = 1, 2
+        with pytest.raises(AssertionError, match="exact substitution"):
+            oracle._fixed_points(IntMatrix([[2]]), [3], IntMatrix([[1]]))
+
+    def test_refuses_coinciding_points(self):
+        # V = diag(1, 2) is not unimodular: y_2 = k/4 gives x_2 = k/2 twice over;
+        # every point is fixed by the identity, so only distinctness can object
+        ident = IntMatrix.identity(2)
+        with pytest.raises(AssertionError, match="distinct"):
+            oracle._fixed_points(ident, [1, 4], IntMatrix([[1, 0], [0, 2]]))
+
     def test_counts_match_and_points_are_fixed(self):
         rng = random.Random(22)
         for _ in range(40):

@@ -5,12 +5,18 @@ here each is compared with the route that works on the matrix itself.  The
 gcd's modular coprimality certificate is compared with the subresultant
 sequence, the rational-function operations that skip reduction with a
 full reduction, and the integer fixed-point enumeration with the same
-enumeration on Fraction coordinates.  The inputs are those where the
+enumeration on Fraction coordinates.  check's single walk over the
+iterates is compared with the public per-iterate oracles, the matrix
+kernels that skip validation with validated matrices, the orbit-exponent
+sieve with trial-division Moebius inversion, and the integer Euler product
+with the same product on Fractions.  The inputs are those where the
 routes could part: singular, root-of-unity, repeated-eigenvalue and
 reciprocal (A + A^-T) spectra.
 """
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -24,20 +30,28 @@ from toralzeta import (
     det_poly_linear,
     det_signed_count,
     enumerate_fixed_points,
+    euler_exponents,
+    euler_product_series,
     exp_sum_zeta_series,
+    mat_mul,
+    mat_pow,
     poly_gcd,
     signed_count,
     signs,
+    smith_normal_form,
     snf_fixed_count,
 )
-from toralzeta import polynomials
-from toralzeta.zeta import _compose_signs, _factors, _lefschetz, _signed_counts, _signs
+from toralzeta import oracle, polynomials
+from toralzeta.cli import _iterates
+from toralzeta.zeta import _compose_signs, _exponents, _factors, _lefschetz, _signed_counts, _signs
 from helpers import (
     determinant_signs,
     differential_matrices,
     exterior_factors,
+    fraction_euler_product_series,
     fraction_exp_sum_series,
     fraction_fixed_points,
+    mobius_exponents,
 )
 
 MATRICES = differential_matrices(random.Random(2024))
@@ -170,3 +184,77 @@ def test_integer_enumeration_matches_fraction_enumeration(mat):
 @pytest.mark.parametrize("mat", MATRICES)
 def test_integer_exp_sum_matches_fraction_recurrence(mat):
     assert exp_sum_zeta_series(mat, 12) == fraction_exp_sum_series(mat, 12)
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_check_walk_matches_per_iterate_oracles(mat):
+    walk = list(_iterates(mat, ENUMERATED_ITERATES))
+    assert len(walk) == ENUMERATED_ITERATES
+    for m, (power, system, divisors, trans) in enumerate(walk, start=1):
+        assert power == mat_pow(mat, m)
+        assert det_exact(system) == det_signed_count(mat, m)
+        count = prod(divisors)
+        assert count == snf_fixed_count(mat, m)
+        if count > ENUMERATED_POINTS:
+            continue
+        expected = enumerate_fixed_points(mat, m)
+        found = oracle._fixed_points(power, divisors, trans)
+        if expected.finite:
+            points, last = found
+            assert len(points) == expected.count == abs(det_signed_count(mat, m))
+            assert sorted(tuple(Fraction(k, last) for k in x) for x in points) == list(
+                expected.points
+            )
+        else:
+            assert found is None
+
+
+def validated(result):
+    """result, rebuilt through the validating constructor."""
+    return IntMatrix([list(row) for row in result.rows])
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_trusted_kernels_match_validated_matrices(mat):
+    other = mat_pow(mat, 2)
+    results = [
+        mat_mul(mat, other),
+        mat @ mat,
+        mat + other,
+        mat - other,
+        -mat,
+        mat.scaled(-3),
+        3 * mat,
+        IntMatrix.identity(mat.dim),
+        *smith_normal_form(mat),
+    ]
+    for result in results:
+        assert result == validated(result)
+        assert hash(result) == hash(validated(result))
+        assert type(result.rows) is tuple
+        assert all(type(row) is tuple and len(row) == mat.dim for row in result.rows)
+        assert all(type(x) is int for row in result.rows for x in row)
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_exponent_sieve_matches_mobius_inversion(mat):
+    counts = [abs(x) for x in _signed_counts(_factors(characteristic_polynomial(mat)), 300)]
+    assert _exponents(counts) == mobius_exponents(counts)
+
+
+def test_exponent_sieve_refuses_what_mobius_inversion_refuses():
+    for counts in ([1, 2], [1, 1, 2], [2, 2, 2, 3], [1, 3, 1, 3, 1, 6]):
+        with pytest.raises(ArithmeticError) as sieve:
+            _exponents(counts)
+        with pytest.raises(ArithmeticError) as reference:
+            mobius_exponents(counts)
+        assert str(sieve.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("mat", MATRICES)
+def test_integer_euler_product_matches_fraction_product(mat):
+    exponents = euler_exponents(mat, 16)
+    for order in (0, 1, 7, 16):
+        assert euler_product_series(exponents, order) == fraction_euler_product_series(
+            exponents, order
+        )
