@@ -9,7 +9,9 @@ failed cross-check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
         return 1
     try:
         mat = parse_matrix(source)
-    except MatrixParseError as exc:
+    except ValueError as exc:  # MatrixParseError, or an entry beyond the digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 1
     handler = {
@@ -291,8 +293,23 @@ def main(argv=None) -> int:
         "check": _cmd_check,
         "report": _cmd_report,
     }[args.command]
-    # each handler reads the parsed flags: max_m, format, tolerance, unreduced
-    return handler(mat, args)
+    # each handler reads the parsed flags: max_m, format, tolerance, unreduced;
+    # its output is held back until it is complete, so a refusal prints none
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = handler(mat, args)
+    except ValueError as exc:
+        # Python refuses to write an integer of more decimal digits than
+        # sys.get_int_max_str_digits(), with a ValueError that says so
+        if "for integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: output too large to print: an integer has more than {limit} "
+              "decimal digits", file=sys.stderr)
+        return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def _print_ratfunc(f: RatFunc, config: argparse.Namespace, json_key: str) -> None:

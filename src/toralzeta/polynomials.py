@@ -6,18 +6,18 @@ values is plain structural equality: numerator and denominator share no
 polynomial factor and no integer content, and the denominator has a
 positive leading coefficient.  A gcd is first attempted modulo one fixed
 prime, which settles coprimality (the common case) on residues below
-2^61; only pairs it cannot certify go through the subresultant
-sequence over Z.  Operations known to keep a reduced pair reduced skip the
-gcd altogether.  Rational numbers appear only transiently, inside
-interpolation, power-series expansion, Sturm remainders and exact
-division.
+2^61; only pairs it cannot certify go through the signed
+pseudo-remainder sequence over Z, which also gives the Sturm sequences.
+Operations known to keep a reduced pair reduced skip the gcd altogether.
+Every kernel runs on integers; rational numbers appear only in the
+values that evaluation and series expansion return.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .linalg import IntMatrix, det_exact
 
@@ -175,38 +175,26 @@ def _positive_primitive(p: IntPoly) -> IntPoly:
     return -pp if pp.leading_coefficient < 0 else pp
 
 
-def _int_divexact(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"inexact integer division {a} / {b}")
-    return q
+def _long_division(p: IntPoly, q: IntPoly) -> tuple[list[int], list[int]]:
+    """Quotient and remainder coefficients of p by q in Z[z].
 
-
-def _scalar_divexact(p: IntPoly, c: int) -> IntPoly:
-    if c == 1:
-        return p
-    return IntPoly(tuple(_int_divexact(x, c) for x in p.coeffs))
-
-
-def _divmod_rational(p: IntPoly, q: IntPoly) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division over the rationals; returns quotient and remainder coefficients."""
+    Raises ValueError on a quotient digit that is not an integer (never for monic q).
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = [Fraction(c) for c in p.coeffs]
-    quo = [Fraction(0)] * max(len(rem) - q.degree, 1)
-    lead = Fraction(q.leading_coefficient)
-    dq = q.degree
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q.coeffs):
-            rem[shift + i] -= factor * c
-        rem.pop()
+    divisor = q.coeffs
+    top, lead = len(divisor) - 1, divisor[-1]
+    rem = list(p.coeffs)
+    quo = [0] * max(len(rem) - top, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem.pop()
+        if c:
+            digit, r = divmod(c, lead)
+            if r:
+                raise ValueError("polynomial quotient is not integral")
+            quo[shift] = digit
+            for i in range(top):
+                rem[shift + i] -= digit * divisor[i]
     while rem and rem[-1] == 0:
         rem.pop()
     return quo, rem
@@ -214,30 +202,51 @@ def _divmod_rational(p: IntPoly, q: IntPoly) -> tuple[list[Fraction], list[Fract
 
 def divexact(p: IntPoly, q: IntPoly) -> IntPoly:
     """p / q when the division is exact in Z[z]; raises ValueError otherwise."""
-    if p.is_zero():
-        if q.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        return IntPoly()
-    quo, rem = _divmod_rational(p, q)
+    quo, rem = _long_division(p, q)
     if rem:
         raise ValueError("polynomial division leaves a remainder")
-    if any(c.denominator != 1 for c in quo):
-        raise ValueError("polynomial quotient is not integral")
-    return IntPoly(tuple(int(c) for c in quo))
+    return IntPoly(quo)
 
 
 def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
-    """lc(b)**(deg a - deg b + 1) * a  mod  b, computed without fractions."""
-    d = b.leading_coefficient
-    e = a.degree - b.degree + 1
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        r = r * d - b.shift(shift) * r.leading_coefficient
-        e -= 1
-    if e > 0:
-        r = r * d**e
-    return r
+    """|lc(b)|**(deg a - deg b + 1) * (a mod b): a positive multiple of the remainder."""
+    divisor = b.coeffs if b.leading_coefficient > 0 else tuple(-c for c in b.coeffs)
+    top, lead = len(divisor) - 1, divisor[-1]
+    rem = list(a.coeffs)
+    unused = len(rem) - top  # powers of lead still owed to the scale
+    while len(rem) > top:
+        c = rem.pop()
+        shift = len(rem) - top
+        if lead != 1:
+            rem = [x * lead for x in rem]
+        for i in range(top):
+            rem[shift + i] -= c * divisor[i]
+        unused -= 1
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if unused > 0 and lead != 1:
+        rem = [x * lead**unused for x in rem]
+    return IntPoly(rem)
+
+
+def _remainder_sequence(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """Signed pseudo-remainder sequence a, b, -prem(a, b)/content, ... in Z[z].
+
+    Each term after the first two is minus the pseudo-remainder of the two
+    before it, divided by its positive content.  Scale and content are
+    positive, so every term is a positive multiple of the rational signed
+    remainder: the sequence is a Sturm sequence when b = a', and its last
+    term is a gcd of a and b up to a scalar.  It stops at a constant term
+    or before a zero remainder.
+    """
+    seq = [a, b]
+    while b.degree > 0:
+        r = _pseudo_remainder(a, b)
+        if r.is_zero():
+            break
+        a, b = b, -r.primitive_part()
+        seq.append(b)
+    return seq
 
 
 # Brown's modular argument: a prime not dividing lc(a) keeps the degree of
@@ -286,9 +295,8 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     through Euclid's algorithm there.  When that gcd is a constant and the
     prime does not divide the leading coefficient of the higher-degree
     part, the parts are coprime over Z and the answer is 1 (Brown 1971).
-    Otherwise the subresultant pseudo-remainder sequence decides: all
-    intermediates stay integral, with the growth of coefficients tamed by
-    the exact divisions of the classical algorithm.
+    Otherwise the signed pseudo-remainder sequence decides: every term is
+    integral and primitive, and the gcd is its last term.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
@@ -301,19 +309,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
         a, b = b, a
     if b.degree == 0 or _coprime_mod_prime(a, b):
         return IntPoly((1,))
-    g = h = 1
-    while True:
-        delta = a.degree - b.degree
-        r = _pseudo_remainder(a, b)
-        if r.is_zero():
-            break
-        if r.degree == 0:
-            return IntPoly((1,))
-        a, b = b, _scalar_divexact(r, g * h**delta)
-        g = a.leading_coefficient
-        if delta > 0:
-            h = _int_divexact(g**delta, h ** (delta - 1))
-    return _positive_primitive(b)
+    return _positive_primitive(_remainder_sequence(a, b)[-1])
 
 
 def deflate_at(p: IntPoly, x0: int) -> IntPoly:
@@ -373,26 +369,6 @@ def squarefree_decomposition(p: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]
     return scale, factors
 
 
-def _sturm_chain(q: IntPoly) -> list[IntPoly]:
-    """Sturm sequence of a squarefree polynomial, as primitive integer polynomials."""
-    chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        num, den = chain[-2], chain[-1]
-        _, rem = _divmod_rational(num, den)
-        if not rem:
-            break  # only for non-squarefree input; harmless
-        negated = [-c for c in rem]
-        scale = 1
-        for c in negated:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in negated]
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
-        chain.append(IntPoly(tuple(c // content for c in ints)))
-    return chain
-
-
 def _sign_at(p: IntPoly, point) -> int:
     if point == "+inf":
         v = p.leading_coefficient
@@ -414,7 +390,7 @@ def _distinct_roots_in_region(q: IntPoly, region: str) -> int:
         q = deflate_at(q, endpoint)  # squarefree, so at most once
     if q.degree < 1:
         return 0
-    chain = _sturm_chain(q)
+    chain = _remainder_sequence(q, q.derivative())  # a Sturm sequence: q is squarefree
     if region == REGION_BELOW_MINUS_ONE:
         return _variations(chain, "-inf") - _variations(chain, -1)
     return _variations(chain, 1) - _variations(chain, "+inf")
@@ -438,33 +414,29 @@ def real_root_count_region(p: IntPoly, region: str) -> int:
 def det_poly_linear(constant: IntMatrix, linear: IntMatrix) -> IntPoly:
     """det(constant + z*linear) as an exact integer polynomial.
 
-    The integer determinant is evaluated at z = 0..dim and interpolated
-    over exact rationals; the result must land back in Z[z], anything else
-    signals a bug.
+    The integer determinant is evaluated at z = 0..dim.  Its k-th forward
+    difference at 0 is k! times the coefficient of z(z-1)...(z-k+1), an
+    exact division for a polynomial in Z[z]; anything else signals a bug.
     """
     if constant.dim != linear.dim:
         raise ValueError(f"dimension mismatch: {constant.dim} vs {linear.dim}")
     n = constant.dim
-    values = [det_exact(constant + linear.scaled(t)) for t in range(n + 1)]
-    # Newton divided differences on the nodes 0..n
-    table = [Fraction(v) for v in values]
+    diffs = [det_exact(constant + linear.scaled(t)) for t in range(n + 1)]
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / level
-    coeffs = [Fraction(0)] * (n + 1)
-    basis = [Fraction(1)]
-    for i in range(n + 1):
-        for t, b in enumerate(basis):
-            coeffs[t] += table[i] * b
-        if i < n:
-            grown = [Fraction(0)] * (len(basis) + 1)
-            for t, b in enumerate(basis):
-                grown[t + 1] += b
-                grown[t] -= i * b
-            basis = grown
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("determinant interpolation produced non-integer coefficients")
-    return IntPoly(tuple(int(c) for c in coeffs))
+            diffs[i] -= diffs[i - 1]
+    # Horner in the falling factorials: acc -> digit_k + (z - k) acc
+    coeffs: list[int] = []
+    for k in range(n, -1, -1):
+        digit, r = divmod(diffs[k], factorial(k))
+        if r:
+            raise ArithmeticError("determinant interpolation produced non-integer coefficients")
+        grown = [0, *coeffs]
+        for i, c in enumerate(coeffs):
+            grown[i] -= k * c
+        grown[0] += digit
+        coeffs = grown
+    return IntPoly(coeffs)
 
 
 _CYCLOTOMIC_CACHE: dict[int, IntPoly] = {}
@@ -511,8 +483,8 @@ class RatFunc:
             den = divexact(den, common)
         c = gcd(num.content(), den.content())
         if c > 1:
-            num = _scalar_divexact(num, c)
-            den = _scalar_divexact(den, c)
+            num = IntPoly(tuple(x // c for x in num.coeffs))
+            den = IntPoly(tuple(x // c for x in den.coeffs))
         if den.leading_coefficient < 0:
             num, den = -num, -den
         self._num = num
@@ -631,20 +603,28 @@ class RatFunc:
         return RatFunc(top.shift(1), num * den)
 
     def series(self, order: int) -> list[Fraction]:
-        """Taylor coefficients at 0 through z**order, as exact rationals."""
+        """Taylor coefficients at 0 through z**order, as exact rationals.
+
+        With b = den(0), the recurrence runs on the integers s_k = b**(k+1)
+        times coefficient k: s_k = num_k b**k - sum_j den_j b**(j-1) s_(k-j).
+        """
         if order < 0:
             raise ValueError("order must be non-negative")
-        den = self._den
-        if den.constant_coefficient == 0:
+        b = self._den.constant_coefficient
+        if b == 0:
             raise ValueError("pole at origin")
-        num = self._num
-        b0 = Fraction(den.constant_coefficient)
+        num = self._num.coeffs
+        weights = [c * b**j for j, c in enumerate(self._den.coeffs[1:])]  # den_(j+1) b**j
+        scaled: list[int] = []
         out: list[Fraction] = []
+        power = 1  # b**k
         for k in range(order + 1):
-            acc = Fraction(num.coeffs[k] if k <= num.degree else 0)
-            for j in range(1, min(k, den.degree) + 1):
-                acc -= den.coeffs[j] * out[k - j]
-            out.append(acc / b0)
+            acc = num[k] * power if k < len(num) else 0
+            for j in range(1, min(k, len(weights)) + 1):
+                acc -= weights[j - 1] * scaled[k - j]
+            scaled.append(acc)
+            power *= b
+            out.append(Fraction(acc, power))
         return out
 
 

@@ -25,9 +25,9 @@ from .linalg import IntMatrix
 from .polynomials import (
     IntPoly,
     RatFunc,
+    _long_division,
     cyclotomic_polynomial,
     deflate_at,
-    divexact,
     poly_gcd,
     squarefree_decomposition,
 )
@@ -311,13 +311,14 @@ def _check_tolerance(tolerance: float) -> None:
 
 def _growth_rate(artin_mazur: RatFunc, tolerance: float) -> GrowthRate | None:
     _check_tolerance(tolerance)
+    # the log derivative has only simple poles, each with a nonzero residue,
+    # so its reduced denominator is already squarefree: its own radical
     den = artin_mazur.log_derivative().den
     if den.degree < 1:
         return None
-    radical = _radical(den)
     accuracy = tolerance / 8
     while True:
-        moduli, err = _isolate_root_moduli(radical, accuracy)
+        moduli, err = _isolate_root_moduli(den, accuracy)
         rho = min(moduli)
         if rho > err and err / (rho * (rho - err)) <= tolerance / 2:
             value = 1.0 / rho
@@ -332,9 +333,12 @@ def growth_rate(mat: IntMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GrowthR
 
     This is the reciprocal of the smallest root modulus of the reduced
     denominator of the generating function; absent (None) when that
-    denominator is constant.  The value is correct to within the stated
-    error: the tolerance, which must be finite and positive, or a few
-    units in the last place of the double when the tolerance is finer.
+    denominator is constant.  The stated error is the tolerance, which must
+    be finite and positive, or a few units in the last place of the double
+    when the tolerance is finer.  It rests on the error estimate that
+    mpmath's polyroots(error=True) reports for the roots, so it is an
+    estimate, not a certified bound; isolating the root modulus in integer
+    arithmetic would make it certified.
     """
     return _growth_rate(artin_mazur_zeta(mat), tolerance)
 
@@ -389,14 +393,6 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def _divides(divisor: IntPoly, dividend: IntPoly) -> bool:
-    try:
-        divexact(dividend, divisor)
-    except ValueError:
-        return False
-    return True
-
-
 def _classify(p: IntPoly, tolerance: float) -> ClassificationReport:
     _check_tolerance(tolerance)
     dim = p.degree
@@ -404,7 +400,7 @@ def _classify(p: IntPoly, tolerance: float) -> ClassificationReport:
     orders = tuple(
         n
         for n in range(1, 2 * dim * dim + 1)
-        if _euler_phi(n) <= dim and _divides(cyclotomic_polynomial(n), p)
+        if _euler_phi(n) <= dim and not _long_division(p, cyclotomic_polynomial(n))[1]
     )
     if orders:
         hyperbolic, flag = False, "exact"

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 
 from toralzeta import (
     ENUMERATION_LIMIT,
+    REGION_BELOW_MINUS_ONE,
     FixedPointSet,
     IntMatrix,
+    IntPoly,
     SignData,
     deflate_at,
     det_exact,
@@ -18,6 +20,7 @@ from toralzeta import (
     mat_pow,
     multiplicity_at,
     smith_normal_form,
+    squarefree_decomposition,
 )
 
 
@@ -238,3 +241,136 @@ def fraction_euler_product_series(exponents, order):
                         merged[i + j] += a * factor[j]
         coeffs = merged
     return coeffs
+
+
+# Fraction references for the integer kernels of polynomials.py: long
+# division, Euclid's gcd, Sturm chains, series expansion and interpolation.
+
+
+def fraction_divmod(p, q):
+    """Long division over the rationals; returns quotient and remainder coefficients."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = [Fraction(c) for c in p.coeffs]
+    quo = [Fraction(0)] * max(len(rem) - q.degree, 1)
+    lead = Fraction(q.leading_coefficient)
+    dq = q.degree
+    while len(rem) - 1 >= dq and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        shift = len(rem) - 1 - dq
+        factor = rem[-1] / lead
+        quo[shift] = factor
+        for i, c in enumerate(q.coeffs):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def fraction_divexact(p, q):
+    """p / q in Z[z] by division over the rationals; ValueError when it is not exact."""
+    if p.is_zero():
+        if q.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        return IntPoly()
+    quo, rem = fraction_divmod(p, q)
+    if rem:
+        raise ValueError("polynomial division leaves a remainder")
+    if any(c.denominator != 1 for c in quo):
+        raise ValueError("polynomial quotient is not integral")
+    return IntPoly(tuple(int(c) for c in quo))
+
+
+def _primitive_integer(coeffs):
+    """The primitive integer polynomial positively proportional to rational coefficients."""
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in coeffs]
+    return IntPoly(tuple(c // gcd(*ints) for c in ints))
+
+
+def fraction_gcd(p, q):
+    """Primitive gcd with positive leading coefficient, by Euclid over the rationals."""
+    a, b = p, q
+    while not b.is_zero():
+        rem = fraction_divmod(a, b)[1]
+        a, b = b, _primitive_integer(rem) if rem else IntPoly()
+    g = _primitive_integer(a.coeffs)
+    return -g if g.leading_coefficient < 0 else g
+
+
+def fraction_sturm_chain(q):
+    """Sturm sequence of a squarefree polynomial: negated remainders over the rationals."""
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
+        _, rem = fraction_divmod(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive_integer([-c for c in rem]))
+    return chain
+
+
+def _sign_variations(values):
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def fraction_root_count_region(p, region):
+    """Real roots of p beyond -1 or 1 with multiplicity, by Fraction Sturm chains."""
+    total = 0
+    for q, mult in squarefree_decomposition(p)[1]:
+        below = region == REGION_BELOW_MINUS_ONE
+        endpoint = -1 if below else 1
+        if q(endpoint) == 0:
+            q = deflate_at(q, endpoint)
+        if q.degree < 1:
+            continue
+        chain = fraction_sturm_chain(q)
+        at_end = _sign_variations([f(endpoint) for f in chain])
+        at_infinity = _sign_variations(
+            [f.leading_coefficient * (-1 if below and f.degree % 2 else 1) for f in chain]
+        )
+        total += mult * (at_infinity - at_end if below else at_end - at_infinity)
+    return total
+
+
+def fraction_series(f, order):
+    """Taylor coefficients of a RatFunc through z**order by the recurrence on Fractions."""
+    den, num = f.den, f.num
+    if den.constant_coefficient == 0:
+        raise ValueError("pole at origin")
+    b0 = Fraction(den.constant_coefficient)
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num.coeffs[k] if k <= num.degree else 0)
+        for j in range(1, min(k, den.degree) + 1):
+            acc -= den.coeffs[j] * out[k - j]
+        out.append(acc / b0)
+    return out
+
+
+def fraction_det_poly_linear(constant, linear):
+    """det(constant + z*linear) by Newton divided differences over the rationals."""
+    n = constant.dim
+    table = [Fraction(det_exact(constant + linear.scaled(t))) for t in range(n + 1)]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / level
+    coeffs = [Fraction(0)] * (n + 1)
+    basis = [Fraction(1)]
+    for i in range(n + 1):
+        for t, b in enumerate(basis):
+            coeffs[t] += table[i] * b
+        if i < n:
+            grown = [Fraction(0)] * (len(basis) + 1)
+            for t, b in enumerate(basis):
+                grown[t + 1] += b
+                grown[t] -= i * b
+            basis = grown
+    assert all(c.denominator == 1 for c in coeffs)
+    return IntPoly(tuple(int(c) for c in coeffs))

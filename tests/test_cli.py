@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -420,3 +421,40 @@ def test_one_characteristic_polynomial_per_request(capsys, monkeypatch, command)
         code, _, _ = run_main(capsys, command, "--matrix", CAT_TEXT, "--max-m", "4", *extra)
         assert code == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts", "--max-m", "1600"],
+        ["exponents", "--max-m", "1600"],
+        ["report", "--max-m", "1600"],
+        ["counts", "--max-m", "1600", "--format", "latex"],
+        ["counts", "--max-m", "1600", "--format", "json"],
+    ],
+)
+def test_output_beyond_the_digit_limit_is_refused_whole(capsys, argv):
+    # the counts of the cat map pass 640 digits near m = 1530; the limit is
+    # lowered so the refusal comes quickly
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_main(capsys, *argv, "--matrix", CAT_TEXT)
+        fits = run_main(capsys, argv[0], "--max-m", "1400", "--matrix", CAT_TEXT)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err == "error: output too large to print: an integer has more than 640 decimal digits\n"
+    assert fits[0] == 0 and fits[1].endswith("\n") and fits[2] == ""
+
+
+def test_matrix_entry_beyond_the_digit_limit_is_an_input_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_main(capsys, "zeta", "--matrix", "[[1, " + "9" * 700 + "]]")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+    assert err.count("\n") == 1

@@ -2,9 +2,9 @@
 
 Factors, signed counts and sign data are served from p = det(x - M) alone;
 here each is compared with the route that works on the matrix itself.  The
-gcd's modular coprimality certificate is compared with the subresultant
-sequence, the rational-function operations that skip reduction with a
-full reduction, and the integer fixed-point enumeration with the same
+gcd's modular coprimality certificate is compared with the forced
+remainder sequence, the rational-function operations that skip reduction
+with a full reduction, and the integer fixed-point enumeration with the same
 enumeration on Fraction coordinates.  check's single walk over the
 iterates is compared with the public per-iterate oracles, the matrix
 kernels that skip validation with validated matrices, the orbit-exponent
